@@ -2,8 +2,9 @@
 
 Every artifact written here is a deterministic function of (config, seed):
 no timestamps, sorted keys, fixed float formatting. Exit codes: 0 success,
-2 configuration error, 3 runtime error. PROTOFED_THREADS caps worker
-parallelism (clients within a run, and sub-runs within sweeps/ablations).
+2 configuration error, 3 runtime error. PROTOFED_THREADS sets how many
+worker processes run the independent sub-runs of a sweep or an ablation
+(default 1: one after another in this process); it never changes results.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from .config import (
     SweepSpec,
     load_config,
     parse_sweep,
+    sweep_dir_name,
     write_resolved,
 )
 from .datagen import CsvSchema, SampleSet, load_csv, make_domains, save_csv
@@ -49,7 +51,22 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def execute_run(cfg: ExperimentConfig, out_dir: Path, max_workers: int = 1) -> ExperimentResult:
+def _map_subruns(worker, items: list) -> list:
+    """[worker(item) for item in items], run by PROTOFED_THREADS spawned
+    processes when that is above 1. Spawned workers start from a fresh import
+    and inherit no threads; the pool is imported here because `run` needs none."""
+    threads = _threads()
+    if threads == 1:
+        return [worker(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(threads, len(items)), mp_context=context) as pool:
+        return list(pool.map(worker, items))
+
+
+def execute_run(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
     """Run one experiment and write rounds.jsonl, summary.json,
     config.resolved.json, model.bin and prototypes.json into out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -60,7 +77,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path, max_workers: int = 1) -> E
             rounds_fh.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
             rounds_fh.flush()
 
-        result = run_experiment(cfg, max_workers=max_workers, round_callback=stream)
+        result = run_experiment(cfg, round_callback=stream)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -72,7 +89,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path, max_workers: int = 1) -> E
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
-    execute_run(cfg, Path(cfg.out_dir), max_workers=_threads())
+    execute_run(cfg, Path(cfg.out_dir))
     return 0
 
 
@@ -86,6 +103,17 @@ def _summary_row(summary: dict, num_domains: int) -> list[str]:
     return [_fmt(summary["average_accuracy"])] + cells
 
 
+def _sweep_one(base: ExperimentConfig, param: str, out_root: Path, value: float) -> list[str]:
+    """One sweep.csv row; a failed sub-run is recorded in its status cell."""
+    sub_dir = out_root / sweep_dir_name(param, value)
+    sub_cfg = dataclasses.replace(base, **{param: value}, out_dir=str(sub_dir))
+    try:
+        summary = execute_run(sub_cfg, sub_dir).summary
+    except Exception as exc:  # record and keep sweeping
+        return [param, _fmt(value)] + [""] * (1 + base.num_domains) + [f"error: {exc}"]
+    return [param, _fmt(value)] + _summary_row(summary, base.num_domains) + ["ok"]
+
+
 def cmd_sweep(args) -> int:
     spec: SweepSpec = parse_sweep(Path(args.config).read_text(encoding="utf-8"))
     base = spec.base
@@ -93,34 +121,14 @@ def cmd_sweep(args) -> int:
         base = dataclasses.replace(base, seed=args.seed)
     out_root = Path(args.out if args.out is not None else base.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    threads = _threads()
-
-    def one(value: float):
-        sub_dir = out_root / f"{spec.param}_{value:g}"
-        sub_cfg = dataclasses.replace(base, **{spec.param: value}, out_dir=str(sub_dir))
-        try:
-            result = execute_run(sub_cfg, sub_dir)
-            return value, result.summary, "ok"
-        except Exception as exc:  # record and keep sweeping
-            return value, None, f"error: {exc}"
-
-    if threads > 1 and len(spec.values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, spec.values))
-    else:
-        rows = [one(v) for v in spec.values]
+    rows = _map_subruns(functools.partial(_sweep_one, base, spec.param, out_root), spec.values)
 
     with open(out_root / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["param", "value", "avg_acc_last5"] + _acc_columns(base.num_domains) + ["status"]
         )
-        for value, summary, status in rows:
-            if summary is None:
-                cells = [""] * (1 + base.num_domains)
-            else:
-                cells = _summary_row(summary, base.num_domains)
-            writer.writerow([spec.param, _fmt(value)] + cells + [status])
+        writer.writerows(rows)
     return 0
 
 
@@ -138,24 +146,30 @@ ABLATION_VARIANTS = [
 ]
 
 
+def _ablate_one(base: ExperimentConfig, out_root: Path, entry) -> list[str]:
+    """One ablation.csv row; a failed sub-run raises with its directory name."""
+    group, variant, overrides = entry
+    sub_dir = out_root / f"{group}_{variant}"
+    sub_cfg = dataclasses.replace(base, **overrides, out_dir=str(sub_dir))
+    try:
+        summary = execute_run(sub_cfg, sub_dir).summary
+    except Exception as exc:
+        raise RuntimeError(f"sub-run {sub_dir.name}: {exc}") from exc
+    return [
+        group,
+        variant,
+        str(sub_cfg.gpcl_enabled).lower(),
+        str(sub_cfg.apa_enabled).lower(),
+        sub_cfg.aggregator_mode,
+        sub_cfg.mixup_mode,
+    ] + _summary_row(summary, base.num_domains)
+
+
 def cmd_ablate(args) -> int:
     base = load_config(args.config, seed=args.seed, out_dir=args.out)
     out_root = Path(base.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    threads = _threads()
-
-    def one(entry):
-        group, variant, overrides = entry
-        sub_dir = out_root / f"{group}_{variant}"
-        sub_cfg = dataclasses.replace(base, **overrides, out_dir=str(sub_dir))
-        result = execute_run(sub_cfg, sub_dir)
-        return group, variant, sub_cfg, result.summary
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, ABLATION_VARIANTS))
-    else:
-        rows = [one(entry) for entry in ABLATION_VARIANTS]
+    rows = _map_subruns(functools.partial(_ablate_one, base, out_root), ABLATION_VARIANTS)
 
     with open(out_root / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -163,18 +177,7 @@ def cmd_ablate(args) -> int:
             ["group", "variant", "gpcl", "apa", "aggregator", "mixup", "avg_acc_last5"]
             + _acc_columns(base.num_domains)
         )
-        for group, variant, sub_cfg, summary in rows:
-            writer.writerow(
-                [
-                    group,
-                    variant,
-                    str(sub_cfg.gpcl_enabled).lower(),
-                    str(sub_cfg.apa_enabled).lower(),
-                    sub_cfg.aggregator_mode,
-                    sub_cfg.mixup_mode,
-                ]
-                + _summary_row(summary, base.num_domains)
-            )
+        writer.writerows(rows)
     return 0
 
 

@@ -209,4 +209,17 @@ def parse_sweep(text: str) -> SweepSpec:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"sweep_values: {exc}") from None
+    seen: dict[str, str] = {}
+    for text_value, value in zip(parts, values):
+        name = sweep_dir_name(param, value)
+        if name in seen:
+            raise ConfigError(
+                f"sweep_values {seen[name]} and {text_value} both write sub-run directory {name}"
+            )
+        seen[name] = text_value
     return SweepSpec(param, values, build_config(raw))
+
+
+def sweep_dir_name(param: str, value: float) -> str:
+    """Name of the sub-run directory a sweep writes for one value."""
+    return f"{param}_{value:g}"

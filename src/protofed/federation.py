@@ -1,11 +1,11 @@
 """The federated round loop: broadcast, local updates, aggregation, evaluation.
 
 One round broadcasts the global model and the current generalized prototypes,
-runs every client's local update (optionally in a thread pool; each client
-owns its RNG stream so scheduling cannot change results), then aggregates
-parameters by dataset-size weighting and rebuilds the generalized prototypes.
-Client results are always reduced in client-id order, so round output does
-not depend on collection order. Any client failure aborts the round.
+runs every client's local update in client-id order (each client owns its
+RNG stream), then aggregates parameters by dataset-size weighting and
+rebuilds the generalized prototypes. Client results are always reduced in
+client-id order, so round output does not depend on the order of the client
+list. Any client failure aborts the round.
 
 With GPCL, APA and mixup all disabled the loop degrades to plain FedAvg and
 is required to match a minimal independent FedAvg implementation bitwise.
@@ -13,7 +13,6 @@ is required to match a minimal independent FedAvg implementation bitwise.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,37 +209,19 @@ def evaluate(params: ModelParams, test_sets: dict[int, SampleSet]) -> EvalResult
     return EvalResult(per_domain, avg)
 
 
-def _run_clients(
-    ordered: list[ClientState],
-    server: ServerState,
-    cfg: ExperimentConfig,
-    max_workers: int,
-) -> list[LocalUpdateResult]:
-    if max_workers <= 1 or len(ordered) == 1:
-        return [
-            local_update(c, server.global_params, server.generalized, cfg)
-            for c in ordered
-        ]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(local_update, c, server.global_params, server.generalized, cfg)
-            for c in ordered
-        ]
-        return [f.result() for f in futures]
-
-
 def run_round(
     server: ServerState,
     clients: list[ClientState],
     test_sets: dict[int, SampleSet],
     cfg: ExperimentConfig,
-    max_workers: int = 1,
 ) -> tuple[ServerState, RoundReport]:
     """One synchronous communication round."""
     if not clients:
         raise ValueError("no clients")
     ordered = sorted(clients, key=lambda c: c.client_id)
-    results = _run_clients(ordered, server, cfg, max_workers)
+    results = [
+        local_update(c, server.global_params, server.generalized, cfg) for c in ordered
+    ]
 
     new_global = aggregate_params(
         [r.params for r in results], [len(c.data) for c in ordered]
@@ -336,9 +317,7 @@ def summarize(reports: list[RoundReport]) -> dict:
     }
 
 
-def run_experiment(
-    cfg: ExperimentConfig, max_workers: int = 1, round_callback=None
-) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, round_callback=None) -> ExperimentResult:
     """Run the configured number of rounds and summarize the tail."""
     clients, test_sets, _ = build_problem(cfg)
     server = ServerState(
@@ -346,7 +325,7 @@ def run_experiment(
     )
     reports: list[RoundReport] = []
     for _ in range(cfg.rounds):
-        server, report = run_round(server, clients, test_sets, cfg, max_workers)
+        server, report = run_round(server, clients, test_sets, cfg)
         reports.append(report)
         if round_callback is not None:
             round_callback(report)

@@ -213,17 +213,32 @@ def params_to_bytes(params: ModelParams) -> bytes:
 
 
 def params_from_bytes(blob: bytes) -> ModelParams:
+    """Parse a checkpoint. A blob cut short of, or running past, the length
+    its header implies raises ValueError naming the byte offset."""
     if blob[:4] != _MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
+
+    def require(end: int, exact: bool = False) -> None:
+        if len(blob) < end or (exact and len(blob) > end):
+            what = "truncated" if len(blob) < end else "has trailing bytes"
+            raise ValueError(
+                f"checkpoint {what} at byte offset {min(len(blob), end)} "
+                f"({len(blob)} bytes, header implies {end})"
+            )
+
+    require(12)
     version, n_layers = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    off = 12
-    shapes = []
-    for _ in range(n_layers):
-        out_d, in_d = struct.unpack_from("<II", blob, off)
-        shapes.append((out_d, in_d))
-        off += 8
+    if n_layers == 0:
+        raise ValueError("checkpoint layer count at byte offset 8 is 0")
+    off = 12 + 8 * n_layers
+    require(off)
+    shapes = [struct.unpack_from("<II", blob, 12 + 8 * i) for i in range(n_layers)]
+    for (o1, _), (_, i2) in zip(shapes[:-1], shapes[1:]):
+        if o1 != i2:
+            raise ValueError("checkpoint layer shapes do not chain")
+    require(off + sum(8 * (out_d * in_d + out_d) for out_d, in_d in shapes), exact=True)
     layers = []
     for out_d, in_d in shapes:
         w = np.frombuffer(blob, dtype="<f8", count=out_d * in_d, offset=off)
@@ -231,9 +246,6 @@ def params_from_bytes(blob: bytes) -> ModelParams:
         b = np.frombuffer(blob, dtype="<f8", count=out_d, offset=off)
         off += out_d * 8
         layers.append((w.reshape(out_d, in_d).astype(np.float64), b.astype(np.float64)))
-    for (o1, _), (_, i2) in zip(shapes[:-1], shapes[1:]):
-        if o1 != i2:
-            raise ValueError("checkpoint layer shapes do not chain")
     return ModelParams(layers[:-1], layers[-1])
 
 

@@ -13,7 +13,6 @@ distance mass, so absent classes are simply skipped.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,10 +23,6 @@ from .numerics import Rng, sample_beta, sq_l2_distance
 # Below this total distance the reweighting denominator carries no signal and
 # weights fall back to uniform.
 DEGENERATE_DISTANCE = 1e-12
-
-_MAGIC = b"PFLM"
-_PROTO_VERSION = 2
-
 
 @dataclass(frozen=True)
 class Prototype:
@@ -263,36 +258,3 @@ def save_prototypes_json(pset: PrototypeSet, path) -> None:
 def load_prototypes_json(path) -> PrototypeSet:
     with open(path, encoding="utf-8") as fh:
         return PrototypeSet.from_json_dict(json.load(fh))
-
-
-def prototypes_to_bytes(pset: PrototypeSet) -> bytes:
-    """Binary form sharing the checkpoint container conventions: magic +
-    version + record count + per-record dims, then flat little-endian f64."""
-    classes = pset.classes()
-    head = [_MAGIC, struct.pack("<I", _PROTO_VERSION), struct.pack("<I", len(classes))]
-    body = []
-    for k in classes:
-        p = pset.entries[k]
-        head.append(struct.pack("<III", k, p.support, p.vector.shape[0]))
-        body.append(np.ascontiguousarray(p.vector, dtype="<f8").tobytes())
-    return b"".join(head) + b"".join(body)
-
-
-def prototypes_from_bytes(blob: bytes) -> PrototypeSet:
-    if blob[:4] != _MAGIC:
-        raise ValueError("not a prototype blob (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != _PROTO_VERSION:
-        raise ValueError(f"unsupported prototype blob version {version}")
-    off = 12
-    meta = []
-    for _ in range(count):
-        k, support, dim = struct.unpack_from("<III", blob, off)
-        meta.append((k, support, dim))
-        off += 12
-    entries = {}
-    for k, support, dim in meta:
-        vec = np.frombuffer(blob, dtype="<f8", count=dim, offset=off).astype(np.float64)
-        off += dim * 8
-        entries[int(k)] = Prototype(vec, int(support))
-    return PrototypeSet(entries)

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -147,6 +149,19 @@ class TestSweepCommand:
         sweep.write_text("sweep_param = lr\nsweep_values = 0.1\n", encoding="utf-8")
         assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "o")]) == 2
 
+    def test_colliding_sub_run_dirs_exit_2(self, tmp_path, capsys):
+        # both values format as tau_0.07 and would write the same sub-run
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(
+            TINY_CONFIG + "sweep_param = tau\nsweep_values = 0.07, 0.05, 0.07000001\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(sweep), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sweep_values" in err and "0.07 " in err and "0.07000001" in err
+        assert not out.exists()
+
     def test_sub_run_failure_recorded(self, tmp_path):
         # alpha = -1 passes sweep-file parsing but fails inside the sub-run
         sweep = tmp_path / "sweep.txt"
@@ -277,16 +292,52 @@ class TestGenData:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestThreadsEnv:
-    def test_threads_do_not_change_artifacts(self, tiny_config, tmp_path, monkeypatch):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("PROTOFED_THREADS", "1")
-        main(["run", "--config", str(tiny_config), "--out", str(out_a)])
-        monkeypatch.setenv("PROTOFED_THREADS", "4")
-        main(["run", "--config", str(tiny_config), "--out", str(out_b)])
-        assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
-        assert (out_a / "rounds.jsonl").read_bytes() == (out_b / "rounds.jsonl").read_bytes()
+def _tree(root) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
-    def test_invalid_threads_exits_2(self, tiny_config, tmp_path, monkeypatch):
+
+class TestThreadsEnv:
+    """PROTOFED_THREADS=2 runs sweep/ablate sub-runs in worker processes; the
+    results, and the failures, must be the same as one after another."""
+
+    def _both(self, monkeypatch, tmp_path, command, config):
+        """(exit code, output tree) per setting, both written to one path
+        because config.resolved.json records the output directory."""
+        out = tmp_path / command
+        outcomes = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PROTOFED_THREADS", threads)
+            shutil.rmtree(out, ignore_errors=True)
+            code = main([command, "--config", str(config), "--out", str(out)])
+            outcomes.append((code, _tree(out)))
+        return outcomes
+
+    def test_threads_do_not_change_artifacts(self, tiny_config, tmp_path, monkeypatch):
+        sweep = tmp_path / "sweep.txt"
+        # alpha = -1 fails inside its sub-run; its error row must match too
+        sweep.write_text(TINY_CONFIG + "sweep_param = alpha\nsweep_values = 0.4, -1, 0.2\n")
+        trees = {}
+        for command, config in (("sweep", sweep), ("ablate", tiny_config)):
+            (code_1, tree_1), (code_2, tree_2) = self._both(monkeypatch, tmp_path, command, config)
+            assert code_1 == code_2 == 0
+            assert tree_1 == tree_2, command
+            trees[command] = tree_1
+        assert len(trees["ablate"]) == 1 + 9 * 5  # ablation.csv + five files per sub-run
+        rows = list(csv.DictReader(io.StringIO(trees["sweep"]["sweep.csv"].decode())))
+        assert [r["status"][:6] for r in rows] == ["ok", "error:", "ok"]
+
+    def test_failed_ablate_sub_run_named(self, tmp_path, monkeypatch, capsys):
+        # lr = 1e6 first makes a loss non-finite in components_gpcl_off_apa_on
+        config = tmp_path / "diverge.txt"
+        config.write_text(TINY_CONFIG + "lr = 1e6\n", encoding="utf-8")
+        codes = [code for code, _ in self._both(monkeypatch, tmp_path, "ablate", config)]
+        assert codes == [3, 3]
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if line.startswith("error:")]
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert errors[0].startswith("error: sub-run components_gpcl_off_apa_on: ")
+
+    def test_invalid_threads_exits_2(self, tiny_config, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PROTOFED_THREADS", "zero")
-        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
+        assert main(["ablate", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
+        assert "PROTOFED_THREADS" in capsys.readouterr().err

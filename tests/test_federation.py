@@ -218,13 +218,6 @@ class TestRunExperiment:
         b = run_experiment(TINY)
         assert [r.to_json_dict() for r in a.reports] == [r.to_json_dict() for r in b.reports]
 
-    def test_threads_do_not_change_results(self):
-        a = run_experiment(TINY, max_workers=1)
-        b = run_experiment(TINY, max_workers=4)
-        assert [r.to_json_dict() for r in a.reports] == [r.to_json_dict() for r in b.reports]
-        for x, y in zip(a.final_params.arrays(), b.final_params.arrays()):
-            assert np.array_equal(x, y)
-
     def test_summary_window_caps_at_five(self):
         res = run_experiment(replace(TINY, rounds=7, epochs=1, per_class_count=10))
         assert res.summary["summary_window"] == 5

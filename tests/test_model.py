@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,15 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             params_from_bytes(b"XXXX" + b"\0" * 64)
+
+    def test_length_mismatch_names_offset(self):
+        blob = params_to_bytes(small_model())
+        for cut in (6, 12, 20, len(blob) - 8, len(blob) - 1):
+            with pytest.raises(ValueError, match=f"truncated at byte offset {cut} "):
+                params_from_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=f"trailing bytes at byte offset {len(blob)} "):
+            params_from_bytes(blob + b"\0")
+
+    def test_zero_layers_rejected(self):
+        with pytest.raises(ValueError, match="byte offset 8"):
+            params_from_bytes(b"PFLM" + struct.pack("<II", 1, 0))

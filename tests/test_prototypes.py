@@ -15,8 +15,6 @@ from protofed.prototypes import (
     local_prototypes,
     mixup_feature,
     mixup_pairs,
-    prototypes_from_bytes,
-    prototypes_to_bytes,
     reweight,
     save_prototypes_json,
 )
@@ -337,20 +335,6 @@ class TestSerialization:
         for k in original.classes():
             assert np.allclose(back.vector(k), original.vector(k), atol=0)
             assert back.support(k) == original.support(k)
-
-    def test_binary_roundtrip_bitwise(self):
-        rng = np.random.default_rng(12)
-        original = PrototypeSet(
-            {k: Prototype(rng.normal(size=7), 3) for k in (0, 2, 5)}
-        )
-        back = prototypes_from_bytes(prototypes_to_bytes(original))
-        assert back.classes() == original.classes()
-        for k in original.classes():
-            assert np.array_equal(back.vector(k), original.vector(k))
-
-    def test_bad_magic(self):
-        with pytest.raises(ValueError):
-            prototypes_from_bytes(b"NOPE" + b"\0" * 32)
 
 
 class TestMixupPairs:
