@@ -218,6 +218,20 @@ class TestRunExperiment:
         b = run_experiment(TINY)
         assert [r.to_json_dict() for r in a.reports] == [r.to_json_dict() for r in b.reports]
 
+    def test_threads_do_not_change_results(self):
+        # sweep/ablate run each sub-run in a spawned worker process when
+        # PROTOFED_THREADS > 1; there it must match the in-process run bitwise
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        a = run_experiment(TINY)
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            b = pool.submit(run_experiment, TINY).result(timeout=120)
+        assert [r.to_json_dict() for r in a.reports] == [r.to_json_dict() for r in b.reports]
+        for x, y in zip(a.final_params.arrays(), b.final_params.arrays(), strict=True):
+            assert np.array_equal(x, y)
+
     def test_summary_window_caps_at_five(self):
         res = run_experiment(replace(TINY, rounds=7, epochs=1, per_class_count=10))
         assert res.summary["summary_window"] == 5
