@@ -8,19 +8,21 @@ for a handful of seeds and prints final-5-round accuracies side by side.
 import argparse
 import time
 from dataclasses import replace
+from pathlib import Path
 
-from protofed.config import ExperimentConfig
+from protofed.config import load_config
 from protofed.federation import run_experiment
 
 
 def main() -> int:
+    base = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.txt")
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=3, help="number of paired seeds")
-    parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--epochs", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=base.rounds)
+    parser.add_argument("--epochs", type=int, default=base.epochs)
     args = parser.parse_args()
 
-    base = ExperimentConfig(rounds=args.rounds, epochs=args.epochs)
+    base = replace(base, rounds=args.rounds, epochs=args.epochs)
     print(f"benchmark: K={base.num_classes} D={base.num_domains} "
           f"clients={base.clients_per_domain} T={base.rounds} R={base.epochs}")
     print("seed   method     avg_last5  per-domain")

@@ -10,22 +10,12 @@ against the FedAvg baseline, reporting average and worst-domain accuracy.
 import argparse
 import time
 from dataclasses import replace
+from pathlib import Path
 
-from protofed.config import ExperimentConfig
+from protofed.config import load_config
 from protofed.federation import run_experiment
 
-SKEWED = ExperimentConfig(
-    rounds=30,
-    epochs=5,
-    clients_per_domain=(5, 1, 1, 1),
-    num_classes=8,
-    arch=(16, 16, 8),
-    per_class_count=80,
-    sampling_rate=0.4,
-    data_shift=3.0,
-    data_noise=0.4,
-    data_anchor_scale=1.0,
-)
+SKEWED = load_config(Path(__file__).resolve().parents[1] / "configs" / "skewed.txt")
 
 
 def worst(summary: dict) -> float:

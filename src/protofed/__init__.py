@@ -23,7 +23,6 @@ from .federation import (
 from .losses import LossBreakdown, apa_loss, cross_entropy, gpcl_loss, total_loss
 from .model import (
     ForwardTrace,
-    ModelGrads,
     ModelParams,
     backward,
     forward,
@@ -37,12 +36,9 @@ from .prototypes import (
     Prototype,
     PrototypeSet,
     ReweightReport,
-    augmented_prototypes,
     average_prototypes,
     ema_update,
-    initial_mean,
     local_prototypes,
-    mixup_feature,
     reweight,
 )
 

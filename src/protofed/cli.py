@@ -29,8 +29,8 @@ from .config import (
     sweep_dir_name,
     write_resolved,
 )
-from .datagen import CsvSchema, SampleSet, load_csv, make_domains, save_csv
-from .federation import ExperimentResult, run_experiment
+from .datagen import CsvSchema, SampleSet, load_csv, save_csv
+from .federation import ExperimentResult, run_experiment, synthetic_domains
 from .model import forward, load_params, save_params
 from .numerics import STREAM_DATA, Rng
 from .prototypes import save_prototypes_json
@@ -195,17 +195,7 @@ def cmd_dump_embeddings(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
-    rng = Rng(cfg.seed, STREAM_DATA)
-    domain_data = make_domains(
-        cfg.num_classes,
-        cfg.num_domains,
-        cfg.input_dim,
-        cfg.per_class_count,
-        rng,
-        noise_sigma=cfg.data_noise,
-        anchor_scale=cfg.data_anchor_scale,
-        shift=cfg.data_shift,
-    )
+    domain_data = synthetic_domains(cfg, Rng(cfg.seed, STREAM_DATA))
     merged = SampleSet(
         np.concatenate([domain_data[d].x for d in sorted(domain_data)]),
         np.concatenate([domain_data[d].labels for d in sorted(domain_data)]),

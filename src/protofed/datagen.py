@@ -15,19 +15,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .numerics import Rng
 
 TEST_FRACTION = 0.2
-
-
-class Sample(NamedTuple):
-    x: np.ndarray
-    label: int
-    domain: int
 
 
 @dataclass
@@ -44,9 +37,6 @@ class SampleSet:
     @property
     def input_dim(self) -> int:
         return self.x.shape[1]
-
-    def row(self, i: int) -> Sample:
-        return Sample(self.x[i], int(self.labels[i]), int(self.domains[i]))
 
     def take(self, idx: np.ndarray) -> "SampleSet":
         return SampleSet(self.x[idx], self.labels[idx], self.domains[idx])

@@ -13,6 +13,7 @@ is required to match a minimal independent FedAvg implementation bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,6 @@ from .prototypes import (
     PrototypeSet,
     average_prototypes,
     ema_update,
-    initial_mean,
     local_prototypes,
     mix_rows,
     mixup_pairs,
@@ -90,7 +90,7 @@ class EvalResult:
     average_accuracy: float
 
 
-def _batch_augmented_prototypes(
+def _apa_targets(
     params: ModelParams,
     features: np.ndarray,
     xb: np.ndarray,
@@ -124,6 +124,8 @@ def local_update(
     Per batch: forward, CE on the logits, GPCL against the generalized
     prototypes (skipped while none exist yet), APA against per-batch
     augmented prototypes, one SGD step. Batch size is clamped to the dataset.
+    A non-finite loss term raises FloatingPointError naming the client, the
+    local step (counted from 0 across epochs) and the term.
     """
     params = global_params
     n = len(state.data)
@@ -149,9 +151,14 @@ def local_update(
                 gpcl, g = gpcl_loss(h, yb, generalized, cfg.tau)
                 d_features += g
             if cfg.apa_enabled:
-                p_tilde = _batch_augmented_prototypes(params, h, xb, yb, state.rng, cfg)
+                p_tilde = _apa_targets(params, h, xb, yb, state.rng, cfg)
                 apa, g = apa_loss(h, yb, p_tilde, cfg.apa_class_mean)
                 d_features += g
+            for term, value in (("ce", ce), ("gpcl", gpcl), ("apa", apa)):
+                if not math.isfinite(value):
+                    raise FloatingPointError(
+                        f"client {state.client_id}, local step {steps}: {term} loss is {value}"
+                    )
             grads = backward(params, trace, d_logits, d_features)
             params = sgd_step(params, grads, cfg.lr, cfg.weight_decay)
             ce_sum += ce
@@ -165,16 +172,11 @@ def local_update(
     return LocalUpdateResult(params, protos, mean)
 
 
-def _rebuild_like(template: ModelParams, arrays: list[np.ndarray]) -> ModelParams:
-    it = iter(arrays)
-    extractor = [(next(it), next(it)) for _ in template.extractor]
-    return ModelParams(extractor, (next(it), next(it)))
-
-
 def aggregate_params(
     client_params: list[ModelParams], sample_counts: list[int]
 ) -> ModelParams:
-    """Elementwise average weighted by |D_m| / sum|D_m|, reduced in list order."""
+    """Elementwise average weighted by |D_m| / sum|D_m|, reduced in list order
+    on the flat parameter vectors."""
     if not client_params:
         raise ValueError("nothing to aggregate")
     counts = np.asarray(sample_counts, dtype=np.float64)
@@ -183,15 +185,13 @@ def aggregate_params(
     if np.any(counts <= 0):
         raise ValueError("sample counts must be positive")
     weights = counts / counts.sum()
-    ref = client_params[0].arrays()
-    acc = [weights[0] * a for a in ref]
+    shapes = client_params[0].shapes
+    acc = weights[0] * client_params[0].flat
     for w, params in zip(weights[1:], client_params[1:]):
-        arrs = params.arrays()
-        if len(arrs) != len(acc) or any(a.shape != b.shape for a, b in zip(arrs, acc)):
+        if params.shapes != shapes:
             raise ValueError("client parameter shapes do not match")
-        for j, a in enumerate(arrs):
-            acc[j] = acc[j] + w * a
-    return _rebuild_like(client_params[0], acc)
+        acc = acc + w * params.flat
+    return ModelParams(acc, shapes)
 
 
 def evaluate(params: ModelParams, test_sets: dict[int, SampleSet]) -> EvalResult:
@@ -215,20 +215,24 @@ def run_round(
     test_sets: dict[int, SampleSet],
     cfg: ExperimentConfig,
 ) -> tuple[ServerState, RoundReport]:
-    """One synchronous communication round."""
+    """One synchronous communication round. A non-finite loss aborts it with
+    a FloatingPointError that names the round, client, local step and term."""
     if not clients:
         raise ValueError("no clients")
     ordered = sorted(clients, key=lambda c: c.client_id)
-    results = [
-        local_update(c, server.global_params, server.generalized, cfg) for c in ordered
-    ]
+    try:
+        results = [
+            local_update(c, server.global_params, server.generalized, cfg) for c in ordered
+        ]
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"round {server.round}, {exc}") from exc
 
     new_global = aggregate_params(
         [r.params for r in results], [len(c.data) for c in ordered]
     )
     prototype_sets = [r.prototypes for r in results]
     if server.aggregator_mode == "reweight":
-        mu = initial_mean(prototype_sets)
+        mu = average_prototypes(prototype_sets)
         fresh, _ = reweight(prototype_sets, mu)
         if server.ema_enabled and server.generalized is not None:
             generalized = ema_update(fresh, server.generalized, server.beta)
@@ -260,6 +264,21 @@ def run_round(
     return new_server, report
 
 
+def synthetic_domains(cfg: ExperimentConfig, rng: Rng) -> dict[int, SampleSet]:
+    """The configured synthetic domains, drawn from rng (the seed's data
+    stream); build_problem and the gen-data command share this data step."""
+    return make_domains(
+        cfg.num_classes,
+        cfg.num_domains,
+        cfg.input_dim,
+        cfg.per_class_count,
+        rng,
+        noise_sigma=cfg.data_noise,
+        anchor_scale=cfg.data_anchor_scale,
+        shift=cfg.data_shift,
+    )
+
+
 def build_problem(
     cfg: ExperimentConfig,
 ) -> tuple[list[ClientState], dict[int, SampleSet], ModelParams]:
@@ -269,16 +288,7 @@ def build_problem(
         schema = CsvSchema(cfg.input_dim, cfg.num_classes, cfg.num_domains)
         domain_data = split_by_domain(load_csv(cfg.csv_path, schema))
     else:
-        domain_data = make_domains(
-            cfg.num_classes,
-            cfg.num_domains,
-            cfg.input_dim,
-            cfg.per_class_count,
-            rng_data,
-            noise_sigma=cfg.data_noise,
-            anchor_scale=cfg.data_anchor_scale,
-            shift=cfg.data_shift,
-        )
+        domain_data = synthetic_domains(cfg, rng_data)
     plan = PartitionPlan(
         {dom: count for dom, count in enumerate(cfg.clients_per_domain) if count > 0},
         cfg.sampling_rate,

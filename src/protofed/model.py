@@ -4,6 +4,13 @@ Forward/backward are hand-rolled on float64 numpy so that gradients can be
 validated against finite differences to tight tolerance. Parameters are
 treated as immutable values: sgd_step returns fresh arrays.
 
+All parameters live in one flat float64 vector in the order W0, b0, W1, b1,
+..., Wc, bc (extractor layers, then the classifier; each W of shape
+(out, in), row-major). Gradients, the SGD step, FedAvg aggregation and the
+model.bin body all use this one layout, so each is a single array operation;
+a checkpoint is the header (magic, version, layer count, each (out, in))
+followed by the vector's bytes.
+
 The feature extractor applies ReLU after every layer except the last, so
 features stay signed (prototype means and cosine similarity need negative
 components as much as positive ones).
@@ -22,75 +29,67 @@ _MAGIC = b"PFLM"
 _VERSION = 1
 
 
-@dataclass
-class ModelParams:
-    """Weights/biases of the extractor layers plus the classifier head.
+def _flat_size(shapes) -> int:
+    return sum(out_d * in_d + out_d for out_d, in_d in shapes)
 
-    extractor: list of (W, b) with W shaped (out, in); classifier is the
-    final (K, d) linear map. Arrays are float64 and never mutated in place.
+
+class ModelParams:
+    """Every weight and bias of the extractor layers and the classifier head,
+    held in one C-contiguous float64 vector.
+
+    shapes lists each linear layer's (out, in), the classifier last. flat
+    holds W0, b0, W1, b1, ..., Wc, bc with each W row-major, which is the body
+    of a model.bin checkpoint. extractor (a list of (W, b)) and classifier
+    ((Wc, bc)) are views into flat, built once here. Values are never mutated
+    in place; gradients use the same type and layout.
     """
 
-    extractor: list[tuple[np.ndarray, np.ndarray]]
-    classifier: tuple[np.ndarray, np.ndarray]
+    def __init__(self, flat: np.ndarray, shapes) -> None:
+        self.flat = np.ascontiguousarray(flat, dtype=np.float64)
+        self.shapes = tuple(map(tuple, shapes))
+        size = _flat_size(self.shapes)
+        if self.flat.shape != (size,):
+            raise ValueError(
+                f"flat parameter vector has shape {self.flat.shape}, layer shapes imply ({size},)"
+            )
+        layers = []
+        off = 0
+        for out_d, in_d in self.shapes:
+            w = self.flat[off : off + out_d * in_d].reshape(out_d, in_d)
+            off += out_d * in_d
+            layers.append((w, self.flat[off : off + out_d]))
+            off += out_d
+        self.extractor: list[tuple[np.ndarray, np.ndarray]] = layers[:-1]
+        self.classifier: tuple[np.ndarray, np.ndarray] = layers[-1]
 
     @property
     def input_dim(self) -> int:
-        return self.extractor[0][0].shape[1]
+        return self.shapes[0][1]
 
     @property
     def feature_dim(self) -> int:
-        return self.extractor[-1][0].shape[0]
+        return self.shapes[-2][0]
 
     @property
     def num_classes(self) -> int:
-        return self.classifier[0].shape[0]
-
-    def arrays(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed order (extractor W,b ... then classifier W,b)."""
-        out: list[np.ndarray] = []
-        for w, b in self.extractor:
-            out.extend((w, b))
-        out.extend(self.classifier)
-        return out
+        return self.shapes[-1][0]
 
 
-@dataclass
-class ModelGrads:
-    """Gradients, shape-congruent with ModelParams."""
-
-    extractor: list[tuple[np.ndarray, np.ndarray]]
-    classifier: tuple[np.ndarray, np.ndarray]
-
-    def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in self.extractor:
-            out.extend((w, b))
-        out.extend(self.classifier)
-        return out
+def params_from_layers(layers: list[tuple[np.ndarray, np.ndarray]]) -> ModelParams:
+    """Pack per-layer (W, b) pairs, classifier last, into one ModelParams."""
+    flat = np.concatenate([a for w, b in layers for a in (w.reshape(-1), b)])
+    return ModelParams(flat, [w.shape for w, _ in layers])
 
 
 @dataclass
 class ForwardTrace:
     """Cached activations from one forward pass, consumed by backward().
-
-    Batched internally; `features`/`logits` mirror the rank of the input
-    (1-D in, 1-D out).
-    """
+    Always batched: acts[-1] is the (B, feature_dim) feature block."""
 
     x: np.ndarray  # (B, input_dim)
     pre: list[np.ndarray] = field(default_factory=list)  # per-layer pre-activations
     acts: list[np.ndarray] = field(default_factory=list)  # per-layer outputs
     logits_2d: np.ndarray = None
-    squeezed: bool = False
-
-    @property
-    def features(self) -> np.ndarray:
-        h = self.acts[-1]
-        return h[0] if self.squeezed else h
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.logits_2d[0] if self.squeezed else self.logits_2d
 
 
 def init_params(rng: Rng, arch: list[int], num_classes: int) -> ModelParams:
@@ -111,21 +110,20 @@ def init_params(rng: Rng, arch: list[int], num_classes: int) -> ModelParams:
         w = rng.uniform(-limit, limit, size=(out_dim, in_dim))
         return w, np.zeros(out_dim)
 
-    extractor = [glorot(arch[i + 1], arch[i]) for i in range(len(arch) - 1)]
-    classifier = glorot(num_classes, arch[-1])
-    return ModelParams(extractor, classifier)
+    layers = [glorot(arch[i + 1], arch[i]) for i in range(len(arch) - 1)]
+    layers.append(glorot(num_classes, arch[-1]))
+    return params_from_layers(layers)
 
 
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Run extractor + classifier; accepts a single vector or a (B, in) batch."""
-    x = np.asarray(x, dtype=np.float64)
-    squeezed = x.ndim == 1
-    x2 = np.atleast_2d(x)
+    """Run extractor + classifier on a (B, in) batch; a single vector is
+    treated as a batch of one."""
+    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x2.shape[1] != params.input_dim:
         raise ValueError(
             f"input dim {x2.shape[1]} does not match model input {params.input_dim}"
         )
-    trace = ForwardTrace(x=x2, squeezed=squeezed)
+    trace = ForwardTrace(x=x2)
     a = x2
     last = len(params.extractor) - 1
     for i, (w, b) in enumerate(params.extractor):
@@ -143,9 +141,10 @@ def backward(
     trace: ForwardTrace,
     dl_dlogits: np.ndarray,
     dl_dfeatures: np.ndarray,
-) -> ModelGrads:
+) -> ModelParams:
     """Exact reverse-mode gradients of the scalar loss whose partials at the
-    logits and at the features are the two given arrays (summed over the batch).
+    logits and at the features are the two given arrays (summed over the batch),
+    in the parameters' flat layout.
     """
     dz = np.atleast_2d(np.asarray(dl_dlogits, dtype=np.float64))
     dh = np.atleast_2d(np.asarray(dl_dfeatures, dtype=np.float64))
@@ -160,18 +159,19 @@ def backward(
     g_bc = dz.sum(axis=0)
 
     g = dz @ wc + dh  # gradient w.r.t. the feature layer output
-    ext_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.extractor)
+    layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.extractor)
     for i in range(len(params.extractor) - 1, -1, -1):
         a_in = trace.acts[i - 1] if i > 0 else trace.x
-        ext_grads[i] = (g.T @ a_in, g.sum(axis=0))
+        layer_grads[i] = (g.T @ a_in, g.sum(axis=0))
         if i > 0:
             w_i, _ = params.extractor[i]
             g = (g @ w_i) * (trace.pre[i - 1] > 0.0)
-    return ModelGrads(ext_grads, (g_wc, g_bc))
+    layer_grads.append((g_wc, g_bc))
+    return params_from_layers(layer_grads)
 
 
 def sgd_step(
-    params: ModelParams, grads: ModelGrads, lr: float, weight_decay: float
+    params: ModelParams, grads: ModelParams, lr: float, weight_decay: float
 ) -> ModelParams:
     """p <- p - lr * (g + weight_decay * p), applied to weights and biases alike.
     lr = 0 is the identity (useful for frozen-model probes)."""
@@ -179,37 +179,18 @@ def sgd_step(
         raise ValueError("lr must be >= 0")
     if weight_decay < 0:
         raise ValueError("weight_decay must be >= 0")
-
-    def step(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return p - lr * (g + weight_decay * p)
-
-    extractor = [
-        (step(w, gw), step(b, gb))
-        for (w, b), (gw, gb) in zip(params.extractor, grads.extractor)
-    ]
-    wc, bc = params.classifier
-    gwc, gbc = grads.classifier
-    return ModelParams(extractor, (step(wc, gwc), step(bc, gbc)))
-
-
-def zero_grads(params: ModelParams) -> ModelGrads:
-    return ModelGrads(
-        [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.extractor],
-        (np.zeros_like(params.classifier[0]), np.zeros_like(params.classifier[1])),
-    )
+    if grads.shapes != params.shapes:
+        raise ValueError("gradient shapes do not match the parameters")
+    p = params.flat
+    return ModelParams(p - lr * (grads.flat + weight_decay * p), params.shapes)
 
 
 def params_to_bytes(params: ModelParams) -> bytes:
-    """Flat little-endian f64 blob with a shape header; classifier is the last layer."""
-    layers = list(params.extractor) + [params.classifier]
-    head = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<I", len(layers))]
-    for w, _ in layers:
-        head.append(struct.pack("<II", w.shape[0], w.shape[1]))
-    body = []
-    for w, b in layers:
-        body.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        body.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    return b"".join(head) + b"".join(body)
+    """Magic, version, layer count and each layer's (out, in) as little-endian
+    u32, then the flat vector as little-endian f64."""
+    head = [_MAGIC, struct.pack("<II", _VERSION, len(params.shapes))]
+    head.extend(struct.pack("<II", out_d, in_d) for out_d, in_d in params.shapes)
+    return b"".join(head) + params.flat.astype("<f8", copy=False).tobytes()
 
 
 def params_from_bytes(blob: bytes) -> ModelParams:
@@ -238,15 +219,10 @@ def params_from_bytes(blob: bytes) -> ModelParams:
     for (o1, _), (_, i2) in zip(shapes[:-1], shapes[1:]):
         if o1 != i2:
             raise ValueError("checkpoint layer shapes do not chain")
-    require(off + sum(8 * (out_d * in_d + out_d) for out_d, in_d in shapes), exact=True)
-    layers = []
-    for out_d, in_d in shapes:
-        w = np.frombuffer(blob, dtype="<f8", count=out_d * in_d, offset=off)
-        off += out_d * in_d * 8
-        b = np.frombuffer(blob, dtype="<f8", count=out_d, offset=off)
-        off += out_d * 8
-        layers.append((w.reshape(out_d, in_d).astype(np.float64), b.astype(np.float64)))
-    return ModelParams(layers[:-1], layers[-1])
+    count = _flat_size(shapes)
+    require(off + 8 * count, exact=True)
+    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=off).astype(np.float64)
+    return ModelParams(flat, shapes)
 
 
 def save_params(params: ModelParams, path) -> None:

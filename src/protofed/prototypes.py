@@ -1,9 +1,10 @@
 """Prototype constructions, client- and server-side.
 
 Clients build per-class feature centroids (plain and MixUp-augmented); the
-server combines the uploaded centroids into generalized prototypes via an
-initial per-class mean, distance-based reweighting, and an EMA across rounds.
-A plain averaging aggregator is kept alongside as the ablation baseline.
+server combines the uploaded centroids into generalized prototypes via the
+per-class client mean, distance-based reweighting, and an EMA across rounds.
+The per-class client mean alone is the plain averaging aggregator of the
+ablation baseline.
 
 Classes missing from some clients are averaged over the clients that do have
 them; zero-vector placeholders would drag means toward the origin and invent
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -107,21 +107,7 @@ def local_prototypes(features, labels) -> PrototypeSet:
     return PrototypeSet(entries)
 
 
-def mixup_feature(h_i, h_j, gamma: float) -> np.ndarray:
-    """gamma * h_i + (1 - gamma) * h_j."""
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if h_i.shape != h_j.shape:
-        raise ValueError("mixup operands must share a dimension")
-    return gamma * h_i + (1.0 - gamma) * h_j
-
-
-def mixup_pairs(
-    labels,
-    rng: Rng,
-    alpha: float,
-    gamma_fn: Callable[[], float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def mixup_pairs(labels, rng: Rng, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Draw (gamma, partner index) for every sample in input order.
 
     The partner is uniform over samples with a different label. Samples with
@@ -138,7 +124,7 @@ def mixup_pairs(
         pool = pools[int(y[i])]
         if pool.size == 0:
             continue
-        gammas[i] = gamma_fn() if gamma_fn is not None else sample_beta(rng, alpha)
+        gammas[i] = sample_beta(rng, alpha)
         partners[i] = pool[rng.integers(pool.size)]
     return gammas, partners
 
@@ -152,28 +138,10 @@ def mix_rows(rows: np.ndarray, gammas: np.ndarray, partners: np.ndarray) -> np.n
     return mixed
 
 
-def augmented_prototypes(
-    features,
-    labels,
-    rng: Rng,
-    alpha: float,
-    gamma_fn: Callable[[], float] | None = None,
-) -> PrototypeSet:
-    """MixUp the features against cross-class partners from the same pool,
-    then group the mixed rows by each sample's ORIGINAL label and average.
-
-    gamma_fn overrides the Beta(alpha, alpha) draw (test hook).
-    """
-    h, y = _as_features(features, labels)
-    if h.shape[0] == 0:
-        raise ValueError("cannot build prototypes from an empty feature set")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    gammas, partners = mixup_pairs(y, rng, alpha, gamma_fn)
-    return local_prototypes(mix_rows(h, gammas, partners), y)
-
-
-def _mean_over_clients(client_sets: list[PrototypeSet]) -> PrototypeSet:
+def average_prototypes(client_sets: list[PrototypeSet]) -> PrototypeSet:
+    """Unweighted per-class mean over the clients that possess the class;
+    support counts contributing clients. It is the mean that reweight()
+    measures distances from, and on its own the plain averaging aggregator."""
     if not client_sets:
         raise ValueError("need at least one client prototype set")
     all_classes = sorted({k for cs in client_sets for k in cs.entries})
@@ -182,17 +150,6 @@ def _mean_over_clients(client_sets: list[PrototypeSet]) -> PrototypeSet:
         vecs = [cs.vector(k) for cs in client_sets if k in cs]
         entries[k] = Prototype(np.mean(np.stack(vecs), axis=0), len(vecs))
     return PrototypeSet(entries)
-
-
-def initial_mean(client_sets: list[PrototypeSet]) -> PrototypeSet:
-    """Unweighted per-class mean over the clients that possess the class;
-    support counts contributing clients."""
-    return _mean_over_clients(client_sets)
-
-
-def average_prototypes(client_sets: list[PrototypeSet]) -> PrototypeSet:
-    """Plain averaging aggregator (ablation baseline; same math as initial_mean)."""
-    return _mean_over_clients(client_sets)
 
 
 def reweight(

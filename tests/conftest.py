@@ -5,32 +5,22 @@ unit tests and the acceptance suite."""
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protofed.config import ExperimentConfig
+from protofed.config import load_config
 from protofed.federation import run_experiment
 from protofed.numerics import Rng, sample_beta
 
-# Desk-scale benchmark: K=5, D=4, 8 clients split 3/2/1/2, half the pool each.
-BENCHMARK = ExperimentConfig(rounds=30, epochs=5)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# Heavily skewed variant: domain 0 holds 5 of 8 clients; more classes, lower
-# capacity and strong shift keep accuracy off the ceiling so aggregator and
-# component differences are visible.
-SKEWED_VARIANT = ExperimentConfig(
-    rounds=30,
-    epochs=5,
-    clients_per_domain=(5, 1, 1, 1),
-    num_classes=8,
-    arch=(16, 16, 8),
-    per_class_count=80,
-    sampling_rate=0.4,
-    data_shift=3.0,
-    data_noise=0.4,
-    data_anchor_scale=1.0,
-)
+# Desk-scale benchmark: K=5, D=4, 8 clients split 3/2/1/2, half the pool each.
+BENCHMARK = load_config(CONFIGS / "default.txt")
+
+# Heavily skewed variant: domain 0 holds 5 of 8 clients (see the config file).
+SKEWED_VARIANT = load_config(CONFIGS / "skewed.txt")
 
 
 @pytest.fixture(scope="session")

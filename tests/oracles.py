@@ -18,7 +18,14 @@ from protofed.config import ExperimentConfig
 from protofed.datagen import PartitionPlan, make_domains, partition
 from protofed.federation import RoundReport
 from protofed.losses import LossBreakdown, apa_loss, cross_entropy, gpcl_loss
-from protofed.model import ModelParams, backward, forward, init_params, sgd_step
+from protofed.model import (
+    ModelParams,
+    backward,
+    forward,
+    init_params,
+    params_from_layers,
+    sgd_step,
+)
 from protofed.numerics import STREAM_DATA, STREAM_INIT, Rng
 from protofed.prototypes import PrototypeSet
 
@@ -108,20 +115,6 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(a - f)) / denom
 
 
-def flatten_params(params: ModelParams) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for a in params.arrays()])
-
-
-def unflatten_params(template: ModelParams, flat: np.ndarray) -> ModelParams:
-    pieces = []
-    off = 0
-    for a in template.arrays():
-        pieces.append(flat[off : off + a.size].reshape(a.shape))
-        off += a.size
-    extractor = [(pieces[2 * i], pieces[2 * i + 1]) for i in range(len(template.extractor))]
-    return ModelParams(extractor, (pieces[-2], pieces[-1]))
-
-
 def total_objective(
     params: ModelParams,
     x: np.ndarray,
@@ -158,6 +151,11 @@ def analytic_total_grads(
     if p_tilde is not None:
         d_features += apa_loss(h, y, p_tilde)[1]
     return backward(params, trace, d_logits, d_features)
+
+
+def _layer_arrays(params: ModelParams) -> list[np.ndarray]:
+    """W0, b0, ..., Wc, bc as separate arrays, read layer by layer."""
+    return [a for layer in params.extractor + [params.classifier] for a in layer]
 
 
 def naive_fedavg_loop(cfg: ExperimentConfig) -> list[RoundReport]:
@@ -210,13 +208,11 @@ def naive_fedavg_loop(cfg: ExperimentConfig) -> list[RoundReport]:
 
         counts = np.asarray([len(s.data) for s in splits], dtype=np.float64)
         weights = counts / counts.sum()
-        acc_arrays = [weights[0] * a for a in trained[0].arrays()]
+        acc_arrays = [weights[0] * a for a in _layer_arrays(trained[0])]
         for w, params in zip(weights[1:], trained[1:]):
-            for j, a in enumerate(params.arrays()):
+            for j, a in enumerate(_layer_arrays(params)):
                 acc_arrays[j] = acc_arrays[j] + w * a
-        it = iter(acc_arrays)
-        extractor = [(next(it), next(it)) for _ in trained[0].extractor]
-        global_params = ModelParams(extractor, (next(it), next(it)))
+        global_params = params_from_layers(list(zip(acc_arrays[::2], acc_arrays[1::2])))
 
         per_domain = {}
         for dom in sorted(test_sets):

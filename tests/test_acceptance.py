@@ -15,14 +15,13 @@ from protofed.cli import main
 from protofed.config import ExperimentConfig
 from protofed.federation import run_experiment
 from protofed.losses import apa_loss, cross_entropy, gpcl_loss
-from protofed.model import ModelParams, forward, init_params
+from protofed.model import ModelParams, forward, init_params, params_from_layers
 from protofed.numerics import Rng, sample_beta
 from protofed.prototypes import (
     Prototype,
     PrototypeSet,
     average_prototypes,
     ema_update,
-    initial_mean,
     reweight,
 )
 
@@ -32,12 +31,10 @@ from oracles import (
     analytic_total_grads,
     dump_repro,
     finite_diff_grad,
-    flatten_params,
     naive_fedavg_loop,
     naive_reweight,
     rel_error,
     total_objective,
-    unflatten_params,
 )
 
 
@@ -70,7 +67,7 @@ def test_criterion_1_reweight_matches_naive_oracle(tmp_path):
         k = int(rng.integers(1, 7))
         d = int(rng.integers(2, 33))
         sets = random_client_sets(rng, m, k, d)
-        got, rep = reweight(sets, initial_mean(sets))
+        got, rep = reweight(sets, average_prototypes(sets))
         naive = naive_reweight(sets)
         for cls, vec in naive.items():
             dev = float(np.max(np.abs(got.vector(cls) - np.asarray(vec))))
@@ -114,14 +111,14 @@ def test_criterion_2_equivariance_suite():
         k = int(rng.integers(1, 5))
         d = int(rng.integers(2, 17))
         sets = random_client_sets(rng, m, k, d)
-        base, base_rep = reweight(sets, initial_mean(sets))
+        base, base_rep = reweight(sets, average_prototypes(sets))
 
         c = rng.normal(size=d)
         shifted = [
             PrototypeSet({kk: Prototype(p.vector + c, p.support) for kk, p in s.entries.items()})
             for s in sets
         ]
-        moved, moved_rep = reweight(shifted, initial_mean(shifted))
+        moved, moved_rep = reweight(shifted, average_prototypes(shifted))
         for kk in base.classes():
             assert np.allclose(moved.vector(kk), base.vector(kk) + c, atol=1e-9)
             assert np.allclose(
@@ -135,7 +132,7 @@ def test_criterion_2_equivariance_suite():
             )
             for s in sets
         ]
-        big, big_rep = reweight(scaled, initial_mean(scaled))
+        big, big_rep = reweight(scaled, average_prototypes(scaled))
         for kk in base.classes():
             assert np.allclose(big.vector(kk), base.vector(kk) * s_pos, atol=1e-9)
             assert np.allclose(
@@ -144,7 +141,7 @@ def test_criterion_2_equivariance_suite():
 
         perm = rng.permutation(m)
         permuted = [sets[i] for i in perm]
-        back, _ = reweight(permuted, initial_mean(permuted))
+        back, _ = reweight(permuted, average_prototypes(permuted))
         avg_a = average_prototypes(sets)
         avg_b = average_prototypes(permuted)
         for kk in base.classes():
@@ -166,10 +163,9 @@ def _model_instance(seed):
     rng = np.random.default_rng(seed)
     for attempt in range(20):
         params = init_params(Rng(seed * 37 + attempt, 1000), [4, 2, 3], 2)
-        params = ModelParams(
-            [(w, b + 0.2 * rng.normal(size=b.shape)) for w, b in params.extractor],
-            (params.classifier[0], params.classifier[1] + 0.2 * rng.normal(size=2)),
-        )
+        layers = [(w, b + 0.2 * rng.normal(size=b.shape)) for w, b in params.extractor]
+        layers.append((params.classifier[0], params.classifier[1] + 0.2 * rng.normal(size=2)))
+        params = params_from_layers(layers)
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 2, 8)
         h = forward(params, x).acts[-1]
@@ -212,16 +208,15 @@ def test_criterion_3_gradient_suite():
     for seed in range(100):
         params, x, y, generalized, p_tilde = _model_instance(seed)
         analytic = analytic_total_grads(params, x, y, generalized, p_tilde, tau=0.5)
-        flat = flatten_params(params)
+        flat = params.flat.copy()
 
         def loss_at(v):
             return total_objective(
-                unflatten_params(params, v.copy()), x, y, generalized, p_tilde, 0.5
+                ModelParams(v.copy(), params.shapes), x, y, generalized, p_tilde, 0.5
             )
 
         numeric = finite_diff_grad(loss_at, flat, 1e-5)
-        analytic_flat = np.concatenate([a.reshape(-1) for a in analytic.arrays()])
-        worst["backward"] = max(worst["backward"], rel_error(analytic_flat, numeric))
+        worst["backward"] = max(worst["backward"], rel_error(analytic.flat, numeric))
 
     elapsed = time.time() - start
     ok = all(v < 1e-4 for v in worst.values()) and elapsed < 60.0

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import shutil
 
 import numpy as np
@@ -108,6 +109,23 @@ class TestRunCommand:
 
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.txt")]) == 3
+
+    def test_nonfinite_loss_names_where(self, tmp_path, capsys):
+        config = tmp_path / "diverge.txt"
+        config.write_text(TINY_CONFIG + "lr = 1e6\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(err) == 1
+        where = re.fullmatch(
+            r"error: round (\d+), client (\d+), local step (\d+): (ce|gpcl|apa) loss is (-?inf|nan)",
+            err[0],
+        )
+        assert where, err[0]
+        # rounds.jsonl keeps every round before the failing one
+        lines = (out / "rounds.jsonl").read_text().splitlines()
+        assert [json.loads(line)["round"] for line in lines] == list(range(int(where[1])))
+        assert not (out / "summary.json").exists()
 
 
 class TestSweepCommand:
@@ -237,9 +255,7 @@ class TestDumpEmbeddings:
 
     def test_zero_model_zero_features(self, tmp_path):
         data_path = self._write_data(tmp_path)
-        zero = ModelParams(
-            [(np.zeros((16, 16)), np.zeros(16))], (np.zeros((4, 16)), np.zeros(4))
-        )
+        zero = ModelParams(np.zeros(16 * 16 + 16 + 4 * 16 + 4), [(16, 16), (4, 16)])
         ckpt = tmp_path / "zero.bin"
         save_params(zero, ckpt)
         out_path = tmp_path / "embed.csv"

@@ -15,7 +15,7 @@ from protofed.federation import (
     run_experiment,
     run_round,
 )
-from protofed.model import ModelParams, forward, init_params
+from protofed.model import ModelParams, forward, init_params, params_from_layers
 from protofed.numerics import Rng
 
 TINY = ExperimentConfig(
@@ -51,8 +51,7 @@ class TestLocalUpdate:
             num_classes=2,
         )
         result = local_update(client, client.params, None, cfg)
-        for a, b in zip(result.params.arrays(), client.params.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(result.params.flat, client.params.flat)
         h = forward(client.params, client.data.x).acts[-1]
         for k in result.prototypes.classes():
             expected = h[client.data.labels == k].mean(axis=0)
@@ -72,8 +71,7 @@ class TestLocalUpdate:
         cfg = replace(TINY, num_classes=2)
         a = local_update(toy_client(3), toy_client(3).params, None, cfg)
         b = local_update(toy_client(3), toy_client(3).params, None, cfg)
-        for x, y in zip(a.params.arrays(), b.params.arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.params.flat, b.params.flat)
         for k in a.prototypes.classes():
             assert np.array_equal(a.prototypes.vector(k), b.prototypes.vector(k))
         assert a.losses == b.losses
@@ -88,37 +86,36 @@ class TestAggregateParams:
     def test_single_client_identity(self):
         p = init_params(Rng(0, 0), [4, 3], 2)
         out = aggregate_params([p], [7])
-        for a, b in zip(p.arrays(), out.arrays()):
-            assert np.array_equal(a, b)
+        assert out.shapes == p.shapes and np.array_equal(p.flat, out.flat)
 
     def test_opposite_params_cancel(self):
         p = init_params(Rng(1, 0), [4, 3], 2)
-        neg = ModelParams(
-            [(-w, -b) for w, b in p.extractor],
-            (-p.classifier[0], -p.classifier[1]),
-        )
+        neg = ModelParams(-p.flat, p.shapes)
         out = aggregate_params([p, neg], [5, 5])
-        for a in out.arrays():
-            assert np.allclose(a, 0.0, atol=1e-18)
+        assert np.allclose(out.flat, 0.0, atol=1e-18)
 
     def test_weighted_scalar_case(self):
-        base = ModelParams([(np.array([[0.0]]), np.zeros(1))], (np.zeros((2, 1)), np.zeros(2)))
-        four = ModelParams([(np.array([[4.0]]), np.zeros(1))], (np.zeros((2, 1)), np.zeros(2)))
+        base = params_from_layers([(np.array([[0.0]]), np.zeros(1)), (np.zeros((2, 1)), np.zeros(2))])
+        four = params_from_layers([(np.array([[4.0]]), np.zeros(1)), (np.zeros((2, 1)), np.zeros(2))])
         out = aggregate_params([base, four], [1, 3])
         assert out.extractor[0][0][0, 0] == pytest.approx(3.0, abs=0)
 
     def test_equal_counts_is_mean(self):
         ps = [init_params(Rng(s, 0), [4, 3], 2) for s in range(4)]
         out = aggregate_params(ps, [5, 5, 5, 5])
-        for i, a in enumerate(out.arrays()):
-            mean = np.mean([p.arrays()[i] for p in ps], axis=0)
-            assert np.allclose(a, mean, atol=1e-12)
+        mean = np.mean([p.flat for p in ps], axis=0)
+        assert np.allclose(out.flat, mean, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         a = init_params(Rng(0, 0), [4, 3], 2)
         b = init_params(Rng(0, 0), [4, 4], 2)
         with pytest.raises(ValueError):
             aggregate_params([a, b], [1, 1])
+        # same parameter count, different layer shapes
+        c = ModelParams(np.zeros(7), [(1, 2), (2, 1)])
+        d = ModelParams(np.zeros(7), [(2, 1), (1, 2)])
+        with pytest.raises(ValueError, match="shapes do not match"):
+            aggregate_params([c, d], [1, 1])
 
     def test_bad_counts_rejected(self):
         p = init_params(Rng(0, 0), [4, 3], 2)
@@ -131,9 +128,7 @@ class TestAggregateParams:
 class TestEvaluate:
     def test_tie_break_lowest_index(self):
         data = make_domains(2, 1, 8, 20, Rng(0, 52), noise_sigma=0.1)[0]
-        zero = ModelParams(
-            [(np.zeros((4, 8)), np.zeros(4))], (np.zeros((2, 4)), np.zeros(2))
-        )
+        zero = ModelParams(np.zeros(4 * 8 + 4 + 2 * 4 + 2), [(4, 8), (2, 4)])
         out = evaluate(zero, {0: data})
         # constant logits predict class 0 everywhere; labels are balanced
         assert out.per_domain_accuracy[0] == pytest.approx(0.5, abs=0)
@@ -175,8 +170,7 @@ class TestRunRound:
         # fresh client (same rng stream) for the round itself
         clients2, _, _ = build_problem(cfg)
         new_server, report = run_round(server, clients2, test_sets, cfg)
-        for a, b in zip(new_server.global_params.arrays(), local.params.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(new_server.global_params.flat, local.params.flat)
         for k in local.prototypes.classes():
             assert np.array_equal(
                 new_server.generalized.vector(k), local.prototypes.vector(k)
@@ -229,8 +223,8 @@ class TestRunExperiment:
         with ProcessPoolExecutor(1, mp_context=context) as pool:
             b = pool.submit(run_experiment, TINY).result(timeout=120)
         assert [r.to_json_dict() for r in a.reports] == [r.to_json_dict() for r in b.reports]
-        for x, y in zip(a.final_params.arrays(), b.final_params.arrays(), strict=True):
-            assert np.array_equal(x, y)
+        assert a.final_params.shapes == b.final_params.shapes
+        assert np.array_equal(a.final_params.flat, b.final_params.flat)
 
     def test_summary_window_caps_at_five(self):
         res = run_experiment(replace(TINY, rounds=7, epochs=1, per_class_count=10))
@@ -294,11 +288,9 @@ class TestNaiveLoopStructure:
         twin_b = ClientState(1, 0, base.data, base.params, Rng(5, 0))
         res_a = local_update(twin_a, base.params, None, cfg)
         res_b = local_update(twin_b, base.params, None, cfg)
-        for x, y in zip(res_a.params.arrays(), res_b.params.arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(res_a.params.flat, res_b.params.flat)
         merged = aggregate_params([res_a.params, res_b.params], [len(base.data)] * 2)
-        for x, y in zip(merged.arrays(), res_a.params.arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(merged.flat, res_a.params.flat)
 
 
 class TestFedAvgDegeneracy:

@@ -10,10 +10,10 @@ from protofed.model import (
     init_params,
     load_params,
     params_from_bytes,
+    params_from_layers,
     params_to_bytes,
     save_params,
     sgd_step,
-    zero_grads,
 )
 from protofed.numerics import Rng
 from protofed.prototypes import Prototype, PrototypeSet
@@ -21,15 +21,17 @@ from protofed.prototypes import Prototype, PrototypeSet
 from oracles import (
     analytic_total_grads,
     finite_diff_grad,
-    flatten_params,
     rel_error,
     total_objective,
-    unflatten_params,
 )
 
 
 def small_model(seed=0, arch=(4, 2, 3), k=2):
     return init_params(Rng(seed, 1000), list(arch), k)
+
+
+def zeros_like(p: ModelParams) -> ModelParams:
+    return ModelParams(np.zeros_like(p.flat), p.shapes)
 
 
 class TestInit:
@@ -48,8 +50,7 @@ class TestInit:
     def test_deterministic(self):
         a = init_params(Rng(3, 2), [4, 4], 2)
         b = init_params(Rng(3, 2), [4, 4], 2)
-        for x, y in zip(a.arrays(), b.arrays()):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.flat, b.flat)
 
     def test_glorot_bounds(self):
         p = init_params(Rng(1, 0), [10, 20], 2)
@@ -69,18 +70,14 @@ class TestInit:
 class TestForward:
     def test_zero_params_zero_output(self):
         p = small_model()
-        zeros = ModelParams(
-            [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.extractor],
-            (np.zeros_like(p.classifier[0]), np.zeros_like(p.classifier[1])),
-        )
-        t = forward(zeros, np.ones(4))
-        assert np.all(t.features == 0.0) and np.all(t.logits == 0.0)
+        t = forward(zeros_like(p), np.ones(4))
+        assert np.all(t.acts[-1] == 0.0) and np.all(t.logits_2d == 0.0)
 
     def test_identity_single_layer(self):
-        p = ModelParams([(np.eye(3), np.zeros(3))], (np.ones((2, 3)), np.zeros(2)))
+        p = params_from_layers([(np.eye(3), np.zeros(3)), (np.ones((2, 3)), np.zeros(2))])
         x = np.array([0.3, -1.2, 4.0])
         t = forward(p, x)
-        assert np.array_equal(t.features, x)
+        assert np.array_equal(t.acts[-1], x[None, :])
 
     def test_matches_naive_matmul(self):
         rng = np.random.default_rng(5)
@@ -96,7 +93,7 @@ class TestForward:
             [float(np.sum(wc[r] * a)) + bc[r] for r in range(wc.shape[0])]
         )
         t = forward(p, x)
-        assert np.allclose(t.logits, naive_logits, atol=1e-12)
+        assert np.allclose(t.logits_2d[0], naive_logits, atol=1e-12)
 
     def test_batch_matches_single(self):
         p = small_model(seed=9)
@@ -104,7 +101,7 @@ class TestForward:
         batch = forward(p, xs)
         for i in range(6):
             single = forward(p, xs[i])
-            assert np.allclose(batch.logits_2d[i], single.logits, atol=0)
+            assert np.allclose(batch.logits_2d[i], single.logits_2d[0], atol=0)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -114,7 +111,7 @@ class TestForward:
         p = small_model(seed=4)
         x = np.linspace(-1, 1, 4)
         a, b = forward(p, x), forward(p, x)
-        assert np.array_equal(a.logits, b.logits)
+        assert np.array_equal(a.logits_2d, b.logits_2d)
 
 
 def _fixture_losses(seed=0, batch=5, arch=(4, 2, 3), k=2):
@@ -123,10 +120,9 @@ def _fixture_losses(seed=0, batch=5, arch=(4, 2, 3), k=2):
     differences cannot resolve)."""
     rng = np.random.default_rng(seed)
     params = small_model(seed=seed, arch=arch, k=k)
-    params = ModelParams(
-        [(w, b + 0.1 * rng.normal(size=b.shape)) for w, b in params.extractor],
-        (params.classifier[0], params.classifier[1] + 0.1 * rng.normal(size=k)),
-    )
+    layers = [(w, b + 0.1 * rng.normal(size=b.shape)) for w, b in params.extractor]
+    layers.append((params.classifier[0], params.classifier[1] + 0.1 * rng.normal(size=k)))
+    params = params_from_layers(layers)
     x = rng.normal(size=(batch, arch[0]))
     y = rng.integers(0, k, batch)
     h = forward(params, x).acts[-1]
@@ -143,36 +139,32 @@ class TestBackward:
         x = np.random.default_rng(0).normal(size=(3, 4))
         t = forward(p, x)
         g = backward(p, t, np.zeros_like(t.logits_2d), np.zeros_like(t.acts[-1]))
-        for a in g.arrays():
-            assert np.all(a == 0.0)
+        assert g.shapes == p.shapes and np.all(g.flat == 0.0)
 
     def test_total_loss_finite_differences(self):
         params, x, y, generalized, p_tilde = _fixture_losses(seed=1)
         analytic = analytic_total_grads(params, x, y, generalized, p_tilde, tau=0.5)
-        flat = flatten_params(params)
+        flat = params.flat.copy()
 
         def loss_at(v):
             return total_objective(
-                unflatten_params(params, v.copy()), x, y, generalized, p_tilde, 0.5
+                ModelParams(v.copy(), params.shapes), x, y, generalized, p_tilde, 0.5
             )
 
         numeric = finite_diff_grad(loss_at, flat, step=1e-5)
-        assert rel_error(flatten_params_like(analytic), numeric) < 1e-4
+        assert rel_error(analytic.flat, numeric) < 1e-4
 
     def test_batch_linearity(self):
         params, x, y, generalized, p_tilde = _fixture_losses(seed=2, batch=4)
         whole = analytic_total_grads(params, x, y, generalized, p_tilde, tau=0.5)
-        acc = zero_grads(params)
-        acc_arrays = [a.copy() for a in acc.arrays()]
+        acc = np.zeros_like(params.flat)
         for i in range(len(y)):
             gi = analytic_total_grads(
                 params, x[i : i + 1], y[i : i + 1], generalized, p_tilde, tau=0.5
             )
-            for j, a in enumerate(gi.arrays()):
-                acc_arrays[j] += a
+            acc += gi.flat
         # per-sample losses carry 1/B = 1; mean over B samples = sum / B
-        for got, expect in zip(whole.arrays(), acc_arrays):
-            assert np.allclose(got, expect / len(y), atol=1e-12)
+        assert np.allclose(whole.flat, acc / len(y), atol=1e-12)
 
     def test_shape_mismatch(self):
         p = small_model()
@@ -181,37 +173,35 @@ class TestBackward:
             backward(p, t, np.zeros((3, 2)), np.zeros((2, 3)))
 
 
-def flatten_params_like(grads):
-    return np.concatenate([a.reshape(-1) for a in grads.arrays()])
-
-
 class TestSgdStep:
     def test_zero_grads_zero_decay(self):
         p = small_model(seed=3)
-        out = sgd_step(p, zero_grads(p), lr=0.01, weight_decay=0.0)
-        for a, b in zip(p.arrays(), out.arrays()):
-            assert np.array_equal(a, b)
+        out = sgd_step(p, zeros_like(p), lr=0.01, weight_decay=0.0)
+        assert np.array_equal(p.flat, out.flat)
 
     def test_scalar_case(self):
-        p = ModelParams([(np.array([[1.0]]), np.zeros(1))], (np.ones((2, 1)), np.zeros(2)))
-        g = zero_grads(p)
+        p = params_from_layers([(np.array([[1.0]]), np.zeros(1)), (np.ones((2, 1)), np.zeros(2))])
+        g = zeros_like(p)
         g.extractor[0][0][0, 0] = 1.0
         out = sgd_step(p, g, lr=0.1, weight_decay=0.0)
         assert out.extractor[0][0][0, 0] == pytest.approx(0.9, abs=0)
 
     def test_weight_decay_closed_form(self):
-        p = ModelParams([(np.array([[1.0]]), np.zeros(1))], (np.ones((2, 1)), np.zeros(2)))
-        out = sgd_step(p, zero_grads(p), lr=0.01, weight_decay=1e-5)
+        p = params_from_layers([(np.array([[1.0]]), np.zeros(1)), (np.ones((2, 1)), np.zeros(2))])
+        out = sgd_step(p, zeros_like(p), lr=0.01, weight_decay=1e-5)
         assert out.extractor[0][0][0, 0] == pytest.approx(1.0 - 0.01 * 1e-5, abs=1e-18)
 
     def test_lr_zero_identity(self):
         p = small_model(seed=8)
-        g = zero_grads(p)
-        for a in g.arrays():
-            a += 3.0
+        g = ModelParams(np.full_like(p.flat, 3.0), p.shapes)
         out = sgd_step(p, g, lr=0.0, weight_decay=0.5)
-        for a, b in zip(p.arrays(), out.arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(p.flat, out.flat)
+
+    def test_shape_mismatch(self):
+        p = small_model(arch=(4, 2, 3))
+        g = zeros_like(small_model(arch=(4, 3, 2)))
+        with pytest.raises(ValueError, match="gradient shapes"):
+            sgd_step(p, g, lr=0.1, weight_decay=0.0)
 
 
 class TestSerialization:
@@ -220,13 +210,48 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_params(p, path)
         q = load_params(path)
-        for a, b in zip(p.arrays(), q.arrays()):
-            assert np.array_equal(a, b)
+        assert q.shapes == p.shapes and np.array_equal(p.flat, q.flat)
 
     def test_header(self):
         p = small_model()
         blob = params_to_bytes(p)
         assert blob[:4] == b"PFLM"
+
+    def test_golden_layout(self):
+        w0 = np.array([[1.0, -2.0, 3.5], [0.25, 0.0, -1e-3]])
+        b0 = np.array([7.0, -8.0])
+        wc = np.array([[0.5, 1.5], [-2.5, 3.0]])
+        bc = np.array([1e10, -0.125])
+        p = params_from_layers([(w0, b0), (wc, bc)])
+        expected = (
+            b"PFLM"
+            + struct.pack("<III", 1, 2, 2)
+            + struct.pack("<III", 3, 2, 2)
+            + struct.pack("<6d", 1.0, -2.0, 3.5, 0.25, 0.0, -1e-3)
+            + struct.pack("<2d", 7.0, -8.0)
+            + struct.pack("<4d", 0.5, 1.5, -2.5, 3.0)
+            + struct.pack("<2d", 1e10, -0.125)
+        )
+        assert params_to_bytes(p) == expected
+        q = params_from_bytes(expected)
+        assert q.shapes == ((2, 3), (2, 2)) and np.array_equal(q.flat, p.flat)
+
+    def test_layers_are_views_of_flat(self):
+        p = small_model(arch=(4, 2, 3))
+        assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+        layers = p.extractor + [p.classifier]
+        assert [w.shape for w, _ in layers] == [(2, 4), (3, 2), (2, 3)]
+        for w, b in layers:
+            assert np.shares_memory(w, p.flat) and np.shares_memory(b, p.flat)
+        p.flat[:] = np.arange(p.flat.size)
+        assert p.extractor[0][0][1, 0] == 4.0 and p.extractor[0][1][0] == 8.0
+        assert p.classifier[1][-1] == p.flat.size - 1
+
+    def test_flat_size_must_match_shapes(self):
+        with pytest.raises(ValueError, match="imply"):
+            ModelParams(np.zeros(5), [(2, 2)])
+        with pytest.raises(ValueError, match="imply"):
+            params_from_layers([(np.zeros((2, 2)), np.zeros(3))])
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):

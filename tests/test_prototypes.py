@@ -7,13 +7,11 @@ from protofed.numerics import Rng, sample_beta
 from protofed.prototypes import (
     Prototype,
     PrototypeSet,
-    augmented_prototypes,
     average_prototypes,
     ema_update,
-    initial_mean,
     load_prototypes_json,
     local_prototypes,
-    mixup_feature,
+    mix_rows,
     mixup_pairs,
     reweight,
     save_prototypes_json,
@@ -69,28 +67,35 @@ class TestLocalPrototypes:
             local_prototypes(np.zeros((0, 3)), [])
 
 
+def mixed_prototypes(h, y, rng, alpha):
+    """The federation's feature-mixup path: draw pairs, mix rows, group by
+    each sample's original label."""
+    gammas, partners = mixup_pairs(y, rng, alpha)
+    return local_prototypes(mix_rows(h, gammas, partners), y)
+
+
 class TestMixupFeature:
+    ROWS = np.array([[1.0, 2.0], [5.0, 6.0], [-3.0, 4.0]])
+
     def test_gamma_one(self):
-        hi, hj = np.array([1.0, 2.0]), np.array([5.0, 6.0])
-        assert np.array_equal(mixup_feature(hi, hj, 1.0), hi)
+        out = mix_rows(self.ROWS, np.array([1.0, 1.0, 0.3]), np.array([1, 0, -1]))
+        assert np.array_equal(out, self.ROWS)  # partner -1 keeps its row for any gamma
 
     def test_gamma_zero(self):
-        hi, hj = np.array([1.0, 2.0]), np.array([5.0, 6.0])
-        assert np.array_equal(mixup_feature(hi, hj, 0.0), hj)
+        out = mix_rows(self.ROWS, np.array([0.0, 0.0, 1.0]), np.array([1, 2, -1]))
+        assert np.array_equal(out, self.ROWS[[1, 2, 2]])
 
     def test_interpolation(self):
-        out = mixup_feature(np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.25)
-        assert np.allclose(out, [0.5, 1.5], atol=1e-15)
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            mixup_feature(np.zeros(2), np.zeros(3), 0.5)
+        rows = np.array([[2.0, 0.0], [0.0, 2.0]])
+        out = mix_rows(rows, np.array([0.25, 1.0]), np.array([1, -1]))
+        assert np.allclose(out[0], [0.5, 1.5], atol=1e-15)
+        assert np.array_equal(out[1], rows[1])
 
     @given(st.floats(min_value=0, max_value=1))
     @settings(max_examples=40)
     def test_stays_on_segment(self, gamma):
-        hi, hj = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-        out = mixup_feature(hi, hj, gamma)
+        rows = np.array([[0.0, 0.0], [1.0, 1.0]])
+        out = mix_rows(rows, np.array([gamma, 1.0]), np.array([1, -1]))[0]
         assert np.all(out >= -1e-12) and np.all(out <= 1 + 1e-12)
 
 
@@ -98,7 +103,7 @@ class TestAugmentedPrototypes:
     def test_single_class_pool_falls_back(self):
         h = np.random.default_rng(1).normal(size=(6, 4))
         y = np.zeros(6, dtype=int)
-        out = augmented_prototypes(h, y, Rng(0, 0), 0.4)
+        out = mixed_prototypes(h, y, Rng(0, 0), 0.4)
         ref = local_prototypes(h, y)
         assert np.array_equal(out.vector(0), ref.vector(0))
 
@@ -106,7 +111,8 @@ class TestAugmentedPrototypes:
         rng = np.random.default_rng(2)
         h = rng.normal(size=(10, 4))
         y = rng.integers(0, 3, 10)
-        out = augmented_prototypes(h, y, Rng(0, 0), 0.4, gamma_fn=lambda: 1.0)
+        _, partners = mixup_pairs(y, Rng(0, 0), 0.4)
+        out = local_prototypes(mix_rows(h, np.ones(10), partners), y)
         ref = local_prototypes(h, y)
         for k in ref.classes():
             assert np.allclose(out.vector(k), ref.vector(k), atol=0)
@@ -116,7 +122,7 @@ class TestAugmentedPrototypes:
         rng = np.random.default_rng(3)
         h = rng.normal(size=(10, 4))
         y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-        out = augmented_prototypes(h, y, Rng(42, 5), 0.4)
+        out = mixed_prototypes(h, y, Rng(42, 5), 0.4)
 
         replay = Rng(42, 5)
         mixed = []
@@ -132,18 +138,18 @@ class TestAugmentedPrototypes:
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            augmented_prototypes(np.ones((2, 2)), [0, 1], Rng(0, 0), 0.0)
+            mixup_pairs([0, 1], Rng(0, 0), 0.0)
 
 
 class TestInitialMeanAndAverage:
     def test_single_client_identity(self):
         cs = pset({0: [1.0, 2.0], 1: [3.0, 4.0]})
-        out = initial_mean([cs])
+        out = average_prototypes([cs])
         for k in (0, 1):
             assert np.array_equal(out.vector(k), cs.vector(k))
 
     def test_two_client_mean(self):
-        out = initial_mean([pset({0: [0.0, 0.0]}), pset({0: [2.0, 0.0]})])
+        out = average_prototypes([pset({0: [0.0, 0.0]}), pset({0: [2.0, 0.0]})])
         assert np.array_equal(out.vector(0), [1.0, 0.0])
         assert out.support(0) == 2
 
@@ -151,23 +157,16 @@ class TestInitialMeanAndAverage:
         rng = np.random.default_rng(4)
         sets = [pset({k: rng.normal(size=3) for k in range(3)}) for _ in range(4)]
         del sets[1].entries[2]
-        out = initial_mean(sets)
+        out = average_prototypes(sets)
         contributing = [s.vector(2) for s in sets if 2 in s]
         assert len(contributing) == 3
         assert np.allclose(out.vector(2), np.mean(contributing, axis=0), atol=1e-12)
         assert out.support(2) == 3
 
-    def test_average_matches_initial_mean(self):
-        rng = np.random.default_rng(5)
-        sets = random_client_sets(rng, 5, 4, 6)
-        a, b = initial_mean(sets), average_prototypes(sets)
-        for k in a.classes():
-            assert np.array_equal(a.vector(k), b.vector(k))
-
     def test_average_separates_from_reweight(self):
         sets = [pset({0: [0.0, 0.0]}), pset({0: [0.0, 0.0]}), pset({0: [3.0, 0.0]})]
         avg = average_prototypes(sets)
-        rw, _ = reweight(sets, initial_mean(sets))
+        rw, _ = reweight(sets, average_prototypes(sets))
         assert np.allclose(avg.vector(0), [1.0, 0.0], atol=1e-12)
         assert np.allclose(rw.vector(0), [2.0, 0.0], atol=1e-12)
 
@@ -183,27 +182,27 @@ class TestInitialMeanAndAverage:
 class TestReweight:
     def test_symmetric_two_clients(self):
         sets = [pset({0: [0.0, 0.0]}), pset({0: [2.0, 0.0]})]
-        out, report = reweight(sets, initial_mean(sets))
+        out, report = reweight(sets, average_prototypes(sets))
         assert np.allclose(out.vector(0), [1.0, 0.0], atol=1e-12)
         assert np.allclose(report.per_class[0].weights, [0.5, 0.5], atol=1e-12)
         assert not report.per_class[0].fallback
 
     def test_three_client_hand_case(self):
         sets = [pset({0: [0.0, 0.0]}), pset({0: [0.0, 0.0]}), pset({0: [3.0, 0.0]})]
-        out, report = reweight(sets, initial_mean(sets))
+        out, report = reweight(sets, average_prototypes(sets))
         assert np.allclose(report.per_class[0].distances, [1.0, 1.0, 4.0], atol=1e-12)
         assert np.allclose(report.per_class[0].weights, [1 / 6, 1 / 6, 4 / 6], atol=1e-12)
         assert np.allclose(out.vector(0), [2.0, 0.0], atol=1e-12)
 
     def test_single_client_fallback(self):
         sets = [pset({0: [5.0, -1.0]})]
-        out, report = reweight(sets, initial_mean(sets))
+        out, report = reweight(sets, average_prototypes(sets))
         assert np.array_equal(out.vector(0), [5.0, -1.0])
         assert report.per_class[0].fallback
 
     def test_identical_prototypes_uniform(self):
         sets = [pset({0: [1.0, 1.0]}) for _ in range(4)]
-        out, report = reweight(sets, initial_mean(sets))
+        out, report = reweight(sets, average_prototypes(sets))
         assert report.per_class[0].fallback
         assert np.allclose(report.per_class[0].weights, 0.25, atol=0)
         assert np.allclose(out.vector(0), [1.0, 1.0], atol=1e-12)
@@ -220,7 +219,7 @@ class TestReweight:
             sets = random_client_sets(
                 rng, int(rng.integers(2, 9)), int(rng.integers(1, 7)), int(rng.integers(2, 33))
             )
-            got, _ = reweight(sets, initial_mean(sets))
+            got, _ = reweight(sets, average_prototypes(sets))
             naive = naive_reweight(sets)
             for k, vec in naive.items():
                 assert np.max(np.abs(got.vector(k) - np.asarray(vec))) < 1e-12
@@ -230,7 +229,7 @@ class TestReweight:
     def test_weights_sum_and_convex_hull(self, seed):
         rng = np.random.default_rng(seed)
         sets = random_client_sets(rng, 5, 3, 4)
-        got, report = reweight(sets, initial_mean(sets))
+        got, report = reweight(sets, average_prototypes(sets))
         for k, info in report.per_class.items():
             assert abs(info.weights.sum() - 1.0) < 1e-9
             assert np.all(info.weights >= 0)
@@ -247,8 +246,8 @@ class TestReweight:
             PrototypeSet({k: Prototype(p.vector + c, p.support) for k, p in s.entries.items()})
             for s in sets
         ]
-        base, base_rep = reweight(sets, initial_mean(sets))
-        moved, moved_rep = reweight(shifted, initial_mean(shifted))
+        base, base_rep = reweight(sets, average_prototypes(sets))
+        moved, moved_rep = reweight(shifted, average_prototypes(shifted))
         for k in base.classes():
             assert np.allclose(moved.vector(k), base.vector(k) + c, atol=1e-9)
             assert np.allclose(
@@ -263,8 +262,8 @@ class TestReweight:
             PrototypeSet({k: Prototype(p.vector * s, p.support) for k, p in st_.entries.items()})
             for st_ in sets
         ]
-        base, base_rep = reweight(sets, initial_mean(sets))
-        big, big_rep = reweight(scaled, initial_mean(scaled))
+        base, base_rep = reweight(sets, average_prototypes(sets))
+        big, big_rep = reweight(scaled, average_prototypes(scaled))
         for k in base.classes():
             assert np.allclose(big.vector(k), base.vector(k) * s, atol=1e-9)
             assert np.allclose(
@@ -274,8 +273,8 @@ class TestReweight:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
         sets = random_client_sets(rng, 6, 3, 5)
-        a, _ = reweight(sets, initial_mean(sets))
-        b, _ = reweight(sets[::-1], initial_mean(sets[::-1]))
+        a, _ = reweight(sets, average_prototypes(sets))
+        b, _ = reweight(sets[::-1], average_prototypes(sets[::-1]))
         for k in a.classes():
             assert np.allclose(a.vector(k), b.vector(k), atol=1e-12)
 
