@@ -16,7 +16,7 @@ from .federation import (
     aggregate_params,
     build_problem,
     evaluate,
-    local_update,
+    local_updates,
     run_experiment,
     run_round,
 )
@@ -31,7 +31,7 @@ from .model import (
     save_params,
     sgd_step,
 )
-from .numerics import Rng, cosine_similarity, sample_beta, sq_l2_distance
+from .numerics import Rng, sample_beta, sq_l2_distance
 from .prototypes import (
     Prototype,
     PrototypeSet,

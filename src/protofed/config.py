@@ -48,10 +48,6 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
     @property
-    def num_clients(self) -> int:
-        return sum(self.clients_per_domain)
-
-    @property
     def input_dim(self) -> int:
         return self.arch[0]
 

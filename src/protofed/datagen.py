@@ -104,7 +104,6 @@ def make_domains(
     input_dim: int,
     per_class_count: int,
     rng: Rng,
-    specs: list[DomainSpec] | None = None,
     noise_sigma: float = 0.3,
     anchor_scale: float = 2.0,
     shift: float = 1.0,
@@ -122,10 +121,7 @@ def make_domains(
         raise ValueError("need at least 1 sample per class")
 
     anchors = rng.normal(size=(num_classes, input_dim)) * anchor_scale
-    if specs is None:
-        specs = default_domain_specs(num_domains, input_dim, rng, noise_sigma, shift)
-    if len(specs) != num_domains:
-        raise ValueError("one DomainSpec per domain required")
+    specs = default_domain_specs(num_domains, input_dim, rng, noise_sigma, shift)
 
     out: dict[int, SampleSet] = {}
     for dom, spec in enumerate(specs):

@@ -1,11 +1,22 @@
 """The federated round loop: broadcast, local updates, aggregation, evaluation.
 
 One round broadcasts the global model and the current generalized prototypes,
-runs every client's local update in client-id order (each client owns its
-RNG stream), then aggregates parameters by dataset-size weighting and
-rebuilds the generalized prototypes. Client results are always reduced in
-client-id order, so round output does not depend on the order of the client
-list. Any client failure aborts the round.
+trains every client on it (each client owns its RNG stream), then
+aggregates parameters by dataset-size weighting and rebuilds the generalized
+prototypes. Client results are always reduced in client-id order, so round
+output does not depend on the order of the client list. Any client failure
+aborts the round.
+
+Clients train in lockstep: their parameters form one (M, P) array (the
+leading client axis of model.py), and at every local step the clients whose
+current batch has the same length run one stacked forward, cross-entropy,
+backward and SGD step. With synthetic data every client holds the same
+number of samples, so all clients form one group at every step; with CSV
+data of unequal domains, clients whose batches differ in length (or that
+have no batches left this epoch) step in separate groups, and a group of one
+is simply M = 1. The prototype terms (GPCL, APA and their mixup draws) run
+per client on its own rows, in client-id order. Each client's random draws
+and arithmetic are therefore exactly those of training it alone.
 
 With GPCL, APA and mixup all disabled the loop degrades to plain FedAvg and
 is required to match a minimal independent FedAvg implementation bitwise.
@@ -41,13 +52,21 @@ from .prototypes import (
     reweight,
 )
 
+# Largest batch cross-entropy a local step may report before the run is
+# declared diverged. A working model's batch CE starts near log K (1.6 for
+# the 5-class configs; no config in configs/ goes above 2.9) and, however
+# wrong, grows only with the logit gap; past 1e6 the weights have blown up
+# (lr = 1e6 reaches 3.6e78 by round 1 while every term stays finite). CE is
+# the one term every mode computes; GPCL is bounded by log K + 2 / tau by
+# construction, and APA overflows to inf.
+MAX_STEP_CE = 1e6
+
 
 @dataclass
 class ClientState:
     client_id: int
     domain_id: int
     data: SampleSet
-    params: ModelParams
     rng: Rng
 
 
@@ -56,9 +75,6 @@ class ServerState:
     round: int
     global_params: ModelParams
     generalized: PrototypeSet | None
-    beta: float
-    aggregator_mode: str
-    ema_enabled: bool
 
 
 @dataclass
@@ -95,81 +111,163 @@ def _apa_targets(
     features: np.ndarray,
     xb: np.ndarray,
     yb: np.ndarray,
-    rng: Rng,
+    rngs: list[Rng],
     cfg: ExperimentConfig,
-) -> PrototypeSet:
-    """Per-batch augmented prototypes under the configured mixup mode.
+) -> list[PrototypeSet]:
+    """Per-batch augmented prototypes of each client in a stacked group,
+    under the configured mixup mode.
 
     off: plain per-batch class means. feature: mix cached features across
-    classes. input: mix raw inputs and run a fresh (gradient-free) forward.
+    classes. input: mix raw inputs and run one fresh (gradient-free) stacked
+    forward. Mixup pairs are drawn from each client's own stream, in row
+    order.
     """
     if cfg.mixup_mode == "off":
-        return local_prototypes(features, yb)
-    gammas, partners = mixup_pairs(yb, rng, cfg.alpha)
+        return [local_prototypes(h, y) for h, y in zip(features, yb)]
+    pairs = [mixup_pairs(y, rng, cfg.alpha) for y, rng in zip(yb, rngs)]
     if cfg.mixup_mode == "feature":
-        return local_prototypes(mix_rows(features, gammas, partners), yb)
-    mixed_x = mix_rows(xb, gammas, partners)
-    return local_prototypes(forward(params, mixed_x).acts[-1], yb)
+        return [
+            local_prototypes(mix_rows(h, g, p), y) for h, y, (g, p) in zip(features, yb, pairs)
+        ]
+    mixed_x = np.stack([mix_rows(x, g, p) for x, (g, p) in zip(xb, pairs)])
+    mixed_h = forward(params, mixed_x).acts[-1]
+    return [local_prototypes(h, y) for h, y in zip(mixed_h, yb)]
 
 
-def local_update(
-    state: ClientState,
+def _bad_term(ce: float, gpcl: float, apa: float) -> str | None:
+    """Why a client's step losses end the run (the first failing term), or
+    None when they do not."""
+    if math.isfinite(ce) and ce > MAX_STEP_CE:
+        return f"ce loss is {ce:g}, above MAX_STEP_CE = {MAX_STEP_CE:g}"
+    for term, value in (("ce", ce), ("gpcl", gpcl), ("apa", apa)):
+        if not math.isfinite(value):
+            return f"{term} loss is {value}"
+    return None
+
+
+def _step_groups(shuffled, step: int, batch_size: int):
+    """The stacked groups of one lockstep step: (members, (G, L, in) inputs,
+    (G, L) labels) for each batch length L, from per-block shuffled data.
+    A block's members share a size and so a batch schedule; blocks whose
+    current batches have equal length are concatenated, and a block with
+    no batch left at this step sits it out."""
+    groups: dict[int, tuple[list[int], list, list]] = {}
+    for members, xs, ys in shuffled:
+        bs = min(batch_size, ys.shape[1])
+        batch = slice(step * bs, (step + 1) * bs)
+        length = ys[0, batch].size
+        if length:
+            group = groups.setdefault(length, ([], [], []))
+            group[0].extend(members)
+            group[1].append(xs[:, batch])
+            group[2].append(ys[:, batch])
+    for members, x_parts, y_parts in groups.values():
+        if len(x_parts) == 1:
+            yield members, x_parts[0], y_parts[0]
+        else:
+            yield members, np.concatenate(x_parts), np.concatenate(y_parts)
+
+
+def local_updates(
+    clients: list[ClientState],
     global_params: ModelParams,
     generalized: PrototypeSet | None,
     cfg: ExperimentConfig,
-) -> LocalUpdateResult:
-    """Train the received global model on the client's data, then compute
-    local prototypes over the full dataset with the final model.
+) -> list[LocalUpdateResult]:
+    """Train the received global model on every client's data in lockstep,
+    then compute each client's local prototypes over its full dataset with
+    its final model. Results come in client-id order.
 
-    Per batch: forward, CE on the logits, GPCL against the generalized
-    prototypes (skipped while none exist yet), APA against per-batch
-    augmented prototypes, one SGD step. Batch size is clamped to the dataset.
-    A non-finite loss term raises FloatingPointError naming the client, the
-    local step (counted from 0 across epochs) and the term.
+    Per step: stacked forward and CE, GPCL against the generalized
+    prototypes (skipped while none exist yet) and APA against per-batch
+    augmented prototypes per client, then one stacked SGD step. Each epoch
+    every client draws its batch order from its own stream; its batch size
+    is clamped to its dataset. At each step the clients whose current batch
+    has the same length form one group.
+
+    A non-finite loss term, or a CE above MAX_STEP_CE, raises
+    FloatingPointError naming the client, its local step (counted from 0
+    across epochs) and the term: at the first failing step, the lowest
+    failing client id.
     """
-    params = global_params
-    n = len(state.data)
-    if n == 0:
-        raise ValueError(f"client {state.client_id} has no data")
-    bs = min(cfg.batch_size, n)
+    ordered = sorted(clients, key=lambda c: c.client_id)
+    for c in ordered:
+        if len(c.data) == 0:
+            raise ValueError(f"client {c.client_id} has no data")
+    num = len(ordered)
+    shapes = global_params.shapes
+    # every client's model, one per row; replaced by each whole-group step,
+    # updated row-wise by partial groups
+    current = ModelParams(np.repeat(global_params.flat[None, :], num, axis=0), shapes)
+    # Clients of equal size share a batch schedule: one block of them per size.
+    blocks: dict[int, list[int]] = {}
+    for m, c in enumerate(ordered):
+        blocks.setdefault(len(c.data), []).append(m)
+    per_epoch = [math.ceil(len(c.data) / min(cfg.batch_size, len(c.data))) for c in ordered]
     use_gpcl = cfg.gpcl_enabled and generalized is not None
+    ce_sum, gpcl_sum, apa_sum = np.zeros(num), np.zeros(num), np.zeros(num)
 
-    ce_sum = gpcl_sum = apa_sum = 0.0
-    steps = 0
-    for _ in range(cfg.epochs):
-        order = state.rng.permutation(n)
-        for start in range(0, n, bs):
-            idx = order[start : start + bs]
-            xb = state.data.x[idx]
-            yb = state.data.labels[idx]
-            trace = forward(params, xb)
-            h = trace.acts[-1]
-            ce, d_logits = cross_entropy(trace.logits_2d, yb)
-            d_features = np.zeros_like(h)
-            gpcl = apa = 0.0
-            if use_gpcl:
-                gpcl, g = gpcl_loss(h, yb, generalized, cfg.tau)
-                d_features += g
-            if cfg.apa_enabled:
-                p_tilde = _apa_targets(params, h, xb, yb, state.rng, cfg)
-                apa, g = apa_loss(h, yb, p_tilde, cfg.apa_class_mean)
-                d_features += g
-            for term, value in (("ce", ce), ("gpcl", gpcl), ("apa", apa)):
-                if not math.isfinite(value):
-                    raise FloatingPointError(
-                        f"client {state.client_id}, local step {steps}: {term} loss is {value}"
-                    )
-            grads = backward(params, trace, d_logits, d_features)
-            params = sgd_step(params, grads, cfg.lr, cfg.weight_decay)
-            ce_sum += ce
-            gpcl_sum += gpcl
-            apa_sum += apa
-            steps += 1
+    for epoch in range(cfg.epochs):
+        # per block: its members' samples in this epoch's batch order, as
+        # (G, n, in) inputs and (G, n) labels
+        shuffled = []
+        for n, members in blocks.items():
+            epoch_data = [ordered[m].data.take(ordered[m].rng.permutation(n)) for m in members]
+            shuffled.append((members, np.stack([d.x for d in epoch_data]),
+                             np.stack([d.labels for d in epoch_data])))
+        for step in range(max(per_epoch)):
+            failures = []
+            for members, xb, yb in _step_groups(shuffled, step, cfg.batch_size):
+                whole = len(members) == num
+                sel = slice(None) if whole else members
+                params = current if whole else ModelParams(current.flat[members], shapes)
+                trace = forward(params, xb)
+                h = trace.acts[-1]
+                ce, d_logits = cross_entropy(trace.logits_2d, yb)
+                d_features = np.zeros_like(h)
+                gpcl, apa = np.zeros(len(members)), np.zeros(len(members))
+                if use_gpcl:
+                    for j in range(len(members)):
+                        gpcl[j], g = gpcl_loss(h[j], yb[j], generalized, cfg.tau)
+                        d_features[j] += g
+                if cfg.apa_enabled:
+                    rngs = [ordered[m].rng for m in members]
+                    for j, p_tilde in enumerate(_apa_targets(params, h, xb, yb, rngs, cfg)):
+                        apa[j], g = apa_loss(h[j], yb[j], p_tilde, cfg.apa_class_mean)
+                        d_features[j] += g
+                ok = (ce <= MAX_STEP_CE) & np.isfinite(gpcl) & np.isfinite(apa)
+                for j in np.flatnonzero(~ok):
+                    m = members[j]
+                    cid = ordered[m].client_id
+                    where = f"client {cid}, local step {epoch * per_epoch[m] + step}"
+                    failures.append((cid, f"{where}: {_bad_term(ce[j], gpcl[j], apa[j])}"))
+                if failures:
+                    continue
+                grads = backward(params, trace, d_logits, d_features)
+                stepped = sgd_step(params, grads, cfg.lr, cfg.weight_decay)
+                if whole:
+                    current = stepped
+                else:
+                    current.flat[members] = stepped.flat
+                ce_sum[sel] += ce
+                gpcl_sum[sel] += gpcl
+                apa_sum[sel] += apa
+            if failures:
+                raise FloatingPointError(min(failures)[1])
 
-    final_features = forward(params, state.data.x).acts[-1]
-    protos = local_prototypes(final_features, state.data.labels)
-    mean = total_loss(ce_sum / steps, gpcl_sum / steps, apa_sum / steps)
-    return LocalUpdateResult(params, protos, mean)
+    protos: dict[int, PrototypeSet] = {}
+    for members in blocks.values():
+        final = ModelParams(current.flat[members], shapes)
+        features = forward(final, np.stack([ordered[m].data.x for m in members])).acts[-1]
+        for m, h in zip(members, features):
+            protos[m] = local_prototypes(h, ordered[m].data.labels)
+    results = []
+    for m in range(num):
+        steps = cfg.epochs * per_epoch[m]
+        mean = total_loss(*(float(s[m] / steps) for s in (ce_sum, gpcl_sum, apa_sum)))
+        params = ModelParams(current.flat[m], shapes)
+        results.append(LocalUpdateResult(params, protos[m], mean))
+    return results
 
 
 def aggregate_params(
@@ -215,15 +313,14 @@ def run_round(
     test_sets: dict[int, SampleSet],
     cfg: ExperimentConfig,
 ) -> tuple[ServerState, RoundReport]:
-    """One synchronous communication round. A non-finite loss aborts it with
-    a FloatingPointError that names the round, client, local step and term."""
+    """One synchronous communication round. A non-finite loss, or a CE above
+    MAX_STEP_CE, aborts it with a FloatingPointError that names the round,
+    client, local step and term."""
     if not clients:
         raise ValueError("no clients")
     ordered = sorted(clients, key=lambda c: c.client_id)
     try:
-        results = [
-            local_update(c, server.global_params, server.generalized, cfg) for c in ordered
-        ]
+        results = local_updates(ordered, server.global_params, server.generalized, cfg)
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {server.round}, {exc}") from exc
 
@@ -231,20 +328,17 @@ def run_round(
         [r.params for r in results], [len(c.data) for c in ordered]
     )
     prototype_sets = [r.prototypes for r in results]
-    if server.aggregator_mode == "reweight":
+    if cfg.aggregator_mode == "reweight":
         mu = average_prototypes(prototype_sets)
         fresh, _ = reweight(prototype_sets, mu)
-        if server.ema_enabled and server.generalized is not None:
-            generalized = ema_update(fresh, server.generalized, server.beta)
+        if cfg.ema_enabled and server.generalized is not None:
+            generalized = ema_update(fresh, server.generalized, cfg.beta)
         else:
             generalized = fresh
-    elif server.aggregator_mode == "average":
+    elif cfg.aggregator_mode == "average":
         generalized = average_prototypes(prototype_sets)
     else:
-        raise ValueError(f"unknown aggregator mode {server.aggregator_mode!r}")
-
-    for client, result in zip(ordered, results):
-        client.params = result.params
+        raise ValueError(f"unknown aggregator mode {cfg.aggregator_mode!r}")
 
     ev = evaluate(new_global, test_sets)
     mean_losses = total_loss(
@@ -253,15 +347,7 @@ def run_round(
         sum(r.losses.apa for r in results) / len(results),
     )
     report = RoundReport(server.round, ev.per_domain_accuracy, ev.average_accuracy, mean_losses)
-    new_server = ServerState(
-        server.round + 1,
-        new_global,
-        generalized,
-        server.beta,
-        server.aggregator_mode,
-        server.ema_enabled,
-    )
-    return new_server, report
+    return ServerState(server.round + 1, new_global, generalized), report
 
 
 def synthetic_domains(cfg: ExperimentConfig, rng: Rng) -> dict[int, SampleSet]:
@@ -296,7 +382,7 @@ def build_problem(
     splits, test_sets = partition(domain_data, plan, rng_data)
     theta0 = init_params(Rng(cfg.seed, STREAM_INIT), list(cfg.arch), cfg.num_classes)
     clients = [
-        ClientState(s.client_id, s.domain, s.data, theta0, Rng(cfg.seed, s.client_id))
+        ClientState(s.client_id, s.domain, s.data, Rng(cfg.seed, s.client_id))
         for s in splits
     ]
     return clients, test_sets, theta0
@@ -329,10 +415,8 @@ def summarize(reports: list[RoundReport]) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, round_callback=None) -> ExperimentResult:
     """Run the configured number of rounds and summarize the tail."""
-    clients, test_sets, _ = build_problem(cfg)
-    server = ServerState(
-        0, clients[0].params, None, cfg.beta, cfg.aggregator_mode, cfg.ema_enabled
-    )
+    clients, test_sets, theta0 = build_problem(cfg)
+    server = ServerState(0, theta0, None)
     reports: list[RoundReport] = []
     for _ in range(cfg.rounds):
         server, report = run_round(server, clients, test_sets, cfg)

@@ -46,20 +46,30 @@ def _check_batch(rows, labels) -> tuple[np.ndarray, np.ndarray]:
     return a, y
 
 
-def cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean -log softmax(z)[y] over the batch; grad rows (softmax - onehot)/B."""
-    z, y = _check_batch(logits, labels)
-    k = z.shape[1]
+def cross_entropy(logits, labels) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean -log softmax(z)[y] over the batch; grad rows (softmax - onehot)/B.
+
+    (B, K) logits with (B,) labels give a float loss. A leading client axis,
+    (M, B, K) with (M, B) labels, gives an (M,) array of per-client losses,
+    each bitwise the loss of that client's batch alone.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if z.ndim not in (2, 3) or z.shape[-2] == 0:
+        raise ValueError("expected a nonempty (B, K) or (M, B, K) array")
+    if y.shape != z.shape[:-1]:
+        raise ValueError("labels must match the batch size")
+    k = z.shape[-1]
     if y.min() < 0 or y.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    b = z.shape[0]
-    loss = float(np.mean(lse - shifted[np.arange(b), y]))
-    probs = np.exp(shifted - lse[:, None])
-    grad = probs.copy()
-    grad[np.arange(b), y] -= 1.0
-    return loss, grad / b
+    b = z.shape[-2]
+    picks = y.reshape(-1) + k * np.arange(y.size)  # flat index of each z[..., y]
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    loss = (lse - shifted.reshape(-1)[picks].reshape(y.shape)).sum(axis=-1) / b
+    grad = np.exp(shifted - lse[..., None])
+    grad.reshape(-1)[picks] -= 1.0
+    return (float(loss) if z.ndim == 2 else loss), grad / b
 
 
 def _cosine_matrix(h: np.ndarray, protos: np.ndarray):

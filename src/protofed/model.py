@@ -11,6 +11,14 @@ model.bin body all use this one layout, so each is a single array operation;
 a checkpoint is the header (magic, version, layer count, each (out, in))
 followed by the vector's bytes.
 
+Leading client axis: the flat vector may also be an (M, P) stack holding M
+clients' models, one per row. Every layer view, activation and gradient then
+gains that leading axis (x is (M, B, in), logits (M, B, K)), and
+forward/backward/sgd_step act on all M clients at once. Matmuls go through
+`@` on swapped axes, which numpy evaluates slice by slice with the same
+kernel as the 2-D call, and batch sums reduce axis -2; so row m of a stacked
+result is bitwise the 2-D result for client m alone (np.einsum would not be).
+
 The feature extractor applies ReLU after every layer except the last, so
 features stay signed (prototype means and cosine similarity need negative
 components as much as positive ones).
@@ -35,29 +43,33 @@ def _flat_size(shapes) -> int:
 
 class ModelParams:
     """Every weight and bias of the extractor layers and the classifier head,
-    held in one C-contiguous float64 vector.
+    held in one C-contiguous float64 vector, or in an (M, P) stack of them.
 
     shapes lists each linear layer's (out, in), the classifier last. flat
     holds W0, b0, W1, b1, ..., Wc, bc with each W row-major, which is the body
-    of a model.bin checkpoint. extractor (a list of (W, b)) and classifier
-    ((Wc, bc)) are views into flat, built once here. Values are never mutated
-    in place; gradients use the same type and layout.
+    of a model.bin checkpoint; an (M, P) flat holds one such vector per
+    client. extractor (a list of (W, b)) and classifier ((Wc, bc)) are views
+    into flat, built once here, with flat's leading axis in front. No
+    function mutates the parameters it is given; gradients use the same type
+    and layout.
     """
 
     def __init__(self, flat: np.ndarray, shapes) -> None:
         self.flat = np.ascontiguousarray(flat, dtype=np.float64)
         self.shapes = tuple(map(tuple, shapes))
         size = _flat_size(self.shapes)
-        if self.flat.shape != (size,):
+        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != size:
             raise ValueError(
-                f"flat parameter vector has shape {self.flat.shape}, layer shapes imply ({size},)"
+                f"flat parameter vector has shape {self.flat.shape}, layer shapes imply "
+                f"({size},) or (M, {size})"
             )
+        lead = self.flat.shape[:-1]
         layers = []
         off = 0
         for out_d, in_d in self.shapes:
-            w = self.flat[off : off + out_d * in_d].reshape(out_d, in_d)
+            w = self.flat[..., off : off + out_d * in_d].reshape(*lead, out_d, in_d)
             off += out_d * in_d
-            layers.append((w, self.flat[off : off + out_d]))
+            layers.append((w, self.flat[..., off : off + out_d]))
             off += out_d
         self.extractor: list[tuple[np.ndarray, np.ndarray]] = layers[:-1]
         self.classifier: tuple[np.ndarray, np.ndarray] = layers[-1]
@@ -84,9 +96,10 @@ def params_from_layers(layers: list[tuple[np.ndarray, np.ndarray]]) -> ModelPara
 @dataclass
 class ForwardTrace:
     """Cached activations from one forward pass, consumed by backward().
-    Always batched: acts[-1] is the (B, feature_dim) feature block."""
+    Always batched: acts[-1] is the (B, feature_dim) feature block, or
+    (M, B, feature_dim) for stacked parameters."""
 
-    x: np.ndarray  # (B, input_dim)
+    x: np.ndarray  # (B, input_dim) or (M, B, input_dim)
     pre: list[np.ndarray] = field(default_factory=list)  # per-layer pre-activations
     acts: list[np.ndarray] = field(default_factory=list)  # per-layer outputs
     logits_2d: np.ndarray = None
@@ -117,22 +130,30 @@ def init_params(rng: Rng, arch: list[int], num_classes: int) -> ModelParams:
 
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     """Run extractor + classifier on a (B, in) batch; a single vector is
-    treated as a batch of one."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x2.shape[1] != params.input_dim:
+    treated as a batch of one. Stacked (M, P) parameters take an (M, B, in)
+    stack of batches, client m's batch in row m."""
+    lead = params.flat.shape[:-1]
+    xa = np.asarray(x, dtype=np.float64)
+    if not lead:
+        xa = np.atleast_2d(xa)
+    if xa.ndim != len(lead) + 2 or xa.shape[:-2] != lead:
+        raise ValueError(f"input of shape {xa.shape} does not match {len(lead)} client axes")
+    if xa.shape[-1] != params.input_dim:
         raise ValueError(
-            f"input dim {x2.shape[1]} does not match model input {params.input_dim}"
+            f"input dim {xa.shape[-1]} does not match model input {params.input_dim}"
         )
-    trace = ForwardTrace(x=x2)
-    a = x2
+    trace = ForwardTrace(x=xa)
+    a = xa
     last = len(params.extractor) - 1
     for i, (w, b) in enumerate(params.extractor):
-        z = a @ w.T + b
+        z = a @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
         trace.pre.append(z)
         a = z if i == last else np.maximum(z, 0.0)
         trace.acts.append(a)
     wc, bc = params.classifier
-    trace.logits_2d = a @ wc.T + bc
+    trace.logits_2d = a @ wc.swapaxes(-1, -2)
+    trace.logits_2d += bc[..., None, :]
     return trace
 
 
@@ -144,42 +165,48 @@ def backward(
 ) -> ModelParams:
     """Exact reverse-mode gradients of the scalar loss whose partials at the
     logits and at the features are the two given arrays (summed over the batch),
-    in the parameters' flat layout.
+    in the parameters' flat layout. Stacked parameters give each client's
+    gradient in its own row.
     """
-    dz = np.atleast_2d(np.asarray(dl_dlogits, dtype=np.float64))
-    dh = np.atleast_2d(np.asarray(dl_dfeatures, dtype=np.float64))
+    dz = np.asarray(dl_dlogits, dtype=np.float64)
+    dh = np.asarray(dl_dfeatures, dtype=np.float64)
+    if params.flat.ndim == 1:
+        dz, dh = np.atleast_2d(dz), np.atleast_2d(dh)
     h = trace.acts[-1]
     if dz.shape != trace.logits_2d.shape:
         raise ValueError("dl_dlogits shape does not match trace logits")
     if dh.shape != h.shape:
         raise ValueError("dl_dfeatures shape does not match trace features")
 
+    # written in place through the layer views of one fresh flat array
+    grads = ModelParams(np.empty_like(params.flat), params.shapes)
     wc, _ = params.classifier
-    g_wc = dz.T @ h
-    g_bc = dz.sum(axis=0)
+    np.matmul(dz.swapaxes(-1, -2), h, out=grads.classifier[0])
+    np.sum(dz, axis=-2, out=grads.classifier[1])
 
     g = dz @ wc + dh  # gradient w.r.t. the feature layer output
-    layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.extractor)
     for i in range(len(params.extractor) - 1, -1, -1):
         a_in = trace.acts[i - 1] if i > 0 else trace.x
-        layer_grads[i] = (g.T @ a_in, g.sum(axis=0))
+        g_w, g_b = grads.extractor[i]
+        np.matmul(g.swapaxes(-1, -2), a_in, out=g_w)
+        np.sum(g, axis=-2, out=g_b)
         if i > 0:
             w_i, _ = params.extractor[i]
             g = (g @ w_i) * (trace.pre[i - 1] > 0.0)
-    layer_grads.append((g_wc, g_bc))
-    return params_from_layers(layer_grads)
+    return grads
 
 
 def sgd_step(
     params: ModelParams, grads: ModelParams, lr: float, weight_decay: float
 ) -> ModelParams:
-    """p <- p - lr * (g + weight_decay * p), applied to weights and biases alike.
-    lr = 0 is the identity (useful for frozen-model probes)."""
+    """p <- p - lr * (g + weight_decay * p), applied to weights and biases alike
+    (and to every client row of stacked parameters). lr = 0 is the identity
+    (useful for frozen-model probes)."""
     if lr < 0:
         raise ValueError("lr must be >= 0")
     if weight_decay < 0:
         raise ValueError("weight_decay must be >= 0")
-    if grads.shapes != params.shapes:
+    if grads.shapes != params.shapes or grads.flat.shape != params.flat.shape:
         raise ValueError("gradient shapes do not match the parameters")
     p = params.flat
     return ModelParams(p - lr * (grads.flat + weight_decay * p), params.shapes)
@@ -187,7 +214,12 @@ def sgd_step(
 
 def params_to_bytes(params: ModelParams) -> bytes:
     """Magic, version, layer count and each layer's (out, in) as little-endian
-    u32, then the flat vector as little-endian f64."""
+    u32, then the flat vector as little-endian f64. One model only: stacked
+    (M, P) parameters are rejected."""
+    if params.flat.ndim != 1:
+        raise ValueError(
+            f"a checkpoint holds one model, got parameters of shape {params.flat.shape}"
+        )
     head = [_MAGIC, struct.pack("<II", _VERSION, len(params.shapes))]
     head.extend(struct.pack("<II", out_d, in_d) for out_d, in_d in params.shapes)
     return b"".join(head) + params.flat.astype("<f8", copy=False).tobytes()
@@ -211,8 +243,11 @@ def params_from_bytes(blob: bytes) -> ModelParams:
     version, n_layers = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    if n_layers == 0:
-        raise ValueError("checkpoint layer count at byte offset 8 is 0")
+    if n_layers < 2:
+        raise ValueError(
+            f"checkpoint layer count at byte offset 8 is {n_layers}, "
+            "need at least one extractor layer and the classifier"
+        )
     off = 12 + 8 * n_layers
     require(off)
     shapes = [struct.unpack_from("<II", blob, 12 + 8 * i) for i in range(n_layers)]

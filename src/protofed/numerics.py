@@ -1,4 +1,5 @@
-"""Seeded randomness and the similarity/distance kernels shared by every module.
+"""Seeded randomness, the norm floor and the squared-distance kernel shared
+by every module.
 
 Vectors and matrices are plain float64 numpy arrays throughout the package;
 nothing here wraps them. The RNG is counter-based (Philox) keyed by
@@ -67,17 +68,6 @@ def _check_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
     return u, v
-
-
-def cosine_similarity(u, v) -> float:
-    """u.v / (max(|u|, eps) * max(|v|, eps)), clamped to [-1, 1]."""
-    u, v = _check_pair(u, v)
-    if u.size == 0:
-        raise ValueError("vectors must have dimension >= 1")
-    denom = max(float(np.linalg.norm(u)), EPS_NORM) * max(
-        float(np.linalg.norm(v)), EPS_NORM
-    )
-    return float(np.clip(float(np.dot(u, v)) / denom, -1.0, 1.0))
 
 
 def sq_l2_distance(u, v) -> float:

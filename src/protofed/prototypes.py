@@ -61,14 +61,6 @@ class PrototypeSet:
             for k, p in sorted(self.entries.items())
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PrototypeSet":
-        entries = {
-            int(k): Prototype(np.asarray(v["vector"], dtype=np.float64), int(v["support"]))
-            for k, v in data.items()
-        }
-        return cls(entries)
-
 
 @dataclass
 class ClassReweight:
@@ -211,7 +203,3 @@ def save_prototypes_json(pset: PrototypeSet, path) -> None:
         json.dump(pset.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def load_prototypes_json(path) -> PrototypeSet:
-    with open(path, encoding="utf-8") as fh:
-        return PrototypeSet.from_json_dict(json.load(fh))

@@ -26,7 +26,7 @@ from protofed.model import (
     params_from_layers,
     sgd_step,
 )
-from protofed.numerics import STREAM_DATA, STREAM_INIT, Rng
+from protofed.numerics import EPS_NORM, STREAM_DATA, STREAM_INIT, Rng
 from protofed.prototypes import PrototypeSet
 
 
@@ -86,6 +86,22 @@ def naive_reweight(client_sets: list[PrototypeSet]) -> dict[int, list[float]]:
                 g[i] += w * v[i]
         out[k] = g
     return out
+
+
+def cosine_similarity(u, v) -> float:
+    """u.v / (max(|u|, eps) * max(|v|, eps)), clamped to [-1, 1], for two
+    vectors of equal nonzero dimension; the per-pair reading of the cosine
+    matrix inside the GPCL loss."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.ndim != 1 or v.ndim != 1:
+        raise ValueError("expected 1-D vectors")
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
+    if u.size == 0:
+        raise ValueError("vectors must have dimension >= 1")
+    denom = max(float(np.linalg.norm(u)), EPS_NORM) * max(float(np.linalg.norm(v)), EPS_NORM)
+    return float(np.clip(float(np.dot(u, v)) / denom, -1.0, 1.0))
 
 
 def finite_diff_grad(loss_fn, point: np.ndarray, step: float) -> np.ndarray:

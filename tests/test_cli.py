@@ -118,13 +118,34 @@ class TestRunCommand:
         err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(err) == 1
         where = re.fullmatch(
-            r"error: round (\d+), client (\d+), local step (\d+): (ce|gpcl|apa) loss is (-?inf|nan)",
+            r"error: round (\d+), client (\d+), local step (\d+): "
+            r"((ce|gpcl|apa) loss is (-?inf|nan)|ce loss is \S+, above MAX_STEP_CE = 1e\+06)",
             err[0],
         )
         assert where, err[0]
         # rounds.jsonl keeps every round before the failing one
         lines = (out / "rounds.jsonl").read_text().splitlines()
         assert [json.loads(line)["round"] for line in lines] == list(range(int(where[1])))
+        assert not (out / "summary.json").exists()
+
+    def test_diverged_fedavg_run_exits_3(self, tmp_path, capsys):
+        # every term stays finite here (CE reached 3.6e78 by round 1), so
+        # only the MAX_STEP_CE bound stops the run
+        config = tmp_path / "diverge.txt"
+        config.write_text(
+            TINY_CONFIG + "lr = 1e6\ngpcl_enabled = false\napa_enabled = false\n"
+            "mixup_mode = off\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(err) == 1
+        assert re.fullmatch(
+            r"error: round \d+, client \d+, local step \d+: "
+            r"ce loss is \S+, above MAX_STEP_CE = 1e\+06",
+            err[0],
+        ), err[0]
         assert not (out / "summary.json").exists()
 
 
@@ -343,7 +364,7 @@ class TestThreadsEnv:
         assert [r["status"][:6] for r in rows] == ["ok", "error:", "ok"]
 
     def test_failed_ablate_sub_run_named(self, tmp_path, monkeypatch, capsys):
-        # lr = 1e6 first makes a loss non-finite in components_gpcl_off_apa_on
+        # lr = 1e6 diverges already in the first, FedAvg-mode sub-run
         config = tmp_path / "diverge.txt"
         config.write_text(TINY_CONFIG + "lr = 1e6\n", encoding="utf-8")
         codes = [code for code, _ in self._both(monkeypatch, tmp_path, "ablate", config)]
@@ -351,7 +372,7 @@ class TestThreadsEnv:
         err = capsys.readouterr().err.splitlines()
         errors = [line for line in err if line.startswith("error:")]
         assert len(errors) == 2 and errors[0] == errors[1]
-        assert errors[0].startswith("error: sub-run components_gpcl_off_apa_on: ")
+        assert errors[0].startswith("error: sub-run components_gpcl_off_apa_off: ")
 
     def test_invalid_threads_exits_2(self, tiny_config, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PROTOFED_THREADS", "zero")

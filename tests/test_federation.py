@@ -11,7 +11,7 @@ from protofed.federation import (
     aggregate_params,
     build_problem,
     evaluate,
-    local_update,
+    local_updates,
     run_experiment,
     run_round,
 )
@@ -32,8 +32,17 @@ TINY = ExperimentConfig(
 
 def toy_client(seed=0, k=2, dim=8, per_class=60, domain=0):
     data = make_domains(k, 2, dim, per_class, Rng(seed, 50), noise_sigma=0.2)[domain]
-    params = init_params(Rng(seed, 51), [dim, 12, 6], k)
-    return ClientState(0, domain, data, params, Rng(seed, 0))
+    return ClientState(0, domain, data, Rng(seed, 0))
+
+
+def toy_params(seed=0, k=2, dim=8):
+    return init_params(Rng(seed, 51), [dim, 12, 6], k)
+
+
+def solo_update(client, global_params, generalized, cfg):
+    """local_updates on one client alone."""
+    [result] = local_updates([client], global_params, generalized, cfg)
+    return result
 
 
 class TestLocalUpdate:
@@ -50,9 +59,10 @@ class TestLocalUpdate:
             mixup_mode="off",
             num_classes=2,
         )
-        result = local_update(client, client.params, None, cfg)
-        assert np.array_equal(result.params.flat, client.params.flat)
-        h = forward(client.params, client.data.x).acts[-1]
+        params = toy_params()
+        result = solo_update(client, params, None, cfg)
+        assert np.array_equal(result.params.flat, params.flat)
+        h = forward(params, client.data.x).acts[-1]
         for k in result.prototypes.classes():
             expected = h[client.data.labels == k].mean(axis=0)
             assert np.allclose(result.prototypes.vector(k), expected, atol=1e-12)
@@ -62,15 +72,15 @@ class TestLocalUpdate:
     def test_separable_toy_training_accuracy(self, seed):
         client = toy_client(seed=seed)
         cfg = replace(TINY, epochs=10, num_classes=2)
-        result = local_update(client, client.params, None, cfg)
+        result = solo_update(client, toy_params(seed=seed), None, cfg)
         logits = forward(result.params, client.data.x).logits_2d
         acc = float(np.mean(np.argmax(logits, axis=1) == client.data.labels))
         assert acc >= 0.95
 
     def test_bitwise_deterministic(self):
         cfg = replace(TINY, num_classes=2)
-        a = local_update(toy_client(3), toy_client(3).params, None, cfg)
-        b = local_update(toy_client(3), toy_client(3).params, None, cfg)
+        a = solo_update(toy_client(3), toy_params(3), None, cfg)
+        b = solo_update(toy_client(3), toy_params(3), None, cfg)
         assert np.array_equal(a.params.flat, b.params.flat)
         for k in a.prototypes.classes():
             assert np.array_equal(a.prototypes.vector(k), b.prototypes.vector(k))
@@ -79,7 +89,7 @@ class TestLocalUpdate:
     def test_batch_size_clamped(self):
         client = toy_client()
         cfg = replace(TINY, batch_size=10**6, num_classes=2, epochs=1)
-        local_update(client, client.params, None, cfg)  # must not raise
+        solo_update(client, toy_params(), None, cfg)  # must not raise
 
 
 class TestAggregateParams:
@@ -165,8 +175,8 @@ class TestRunRound:
     def test_single_client_round(self):
         cfg = replace(TINY, clients_per_domain=(1,), num_domains=1, beta=1.0)
         clients, test_sets, theta0 = build_problem(cfg)
-        server = ServerState(0, theta0, None, 1.0, "reweight", True)
-        local = local_update(clients[0], theta0, None, cfg)
+        server = ServerState(0, theta0, None)
+        local = solo_update(clients[0], theta0, None, cfg)
         # fresh client (same rng stream) for the round itself
         clients2, _, _ = build_problem(cfg)
         new_server, report = run_round(server, clients2, test_sets, cfg)
@@ -189,12 +199,12 @@ class TestRunRound:
     def test_collection_order_invariance(self):
         cfg = TINY
         clients, test_sets, theta0 = build_problem(cfg)
-        server = ServerState(0, theta0, None, cfg.beta, "reweight", True)
+        server = ServerState(0, theta0, None)
         _, report_sorted = run_round(server, clients, test_sets, cfg)
 
         clients2, _, _ = build_problem(cfg)
         shuffled = [clients2[i] for i in (2, 0, 1)]
-        server2 = ServerState(0, theta0, None, cfg.beta, "reweight", True)
+        server2 = ServerState(0, theta0, None)
         _, report_shuffled = run_round(server2, shuffled, test_sets, cfg)
         assert report_sorted.per_domain_accuracy == report_shuffled.per_domain_accuracy
         assert report_sorted.losses == report_shuffled.losses
@@ -283,11 +293,10 @@ class TestNaiveLoopStructure:
 
     def test_equal_clients_aggregate_to_their_solo_update(self):
         cfg = replace(TINY, num_classes=2)
-        base = toy_client(seed=5)
-        twin_a = ClientState(0, 0, base.data, base.params, Rng(5, 0))
-        twin_b = ClientState(1, 0, base.data, base.params, Rng(5, 0))
-        res_a = local_update(twin_a, base.params, None, cfg)
-        res_b = local_update(twin_b, base.params, None, cfg)
+        base, params = toy_client(seed=5), toy_params(seed=5)
+        twin_a = ClientState(0, 0, base.data, Rng(5, 0))
+        twin_b = ClientState(1, 0, base.data, Rng(5, 0))
+        res_a, res_b = local_updates([twin_a, twin_b], params, None, cfg)
         assert np.array_equal(res_a.params.flat, res_b.params.flat)
         merged = aggregate_params([res_a.params, res_b.params], [len(base.data)] * 2)
         assert np.array_equal(merged.flat, res_a.params.flat)
@@ -304,3 +313,83 @@ class TestFedAvgDegeneracy:
             assert fed.losses.ce == naive.losses.ce
             assert fed.losses.total == naive.losses.total
             assert fed.losses.gpcl == 0.0 and fed.losses.apa == 0.0
+
+
+def _fresh_clients(cfg, sizes=None):
+    """build_problem's clients with fresh RNG streams; sizes, when given,
+    cuts each client's data to that many samples (ragged clients)."""
+    clients, _, theta0 = build_problem(cfg)
+    if sizes is not None:
+        clients = [
+            ClientState(c.client_id, c.domain_id, c.data.take(np.arange(n)), c.rng)
+            for c, n in zip(clients, sizes)
+        ]
+    return clients, theta0
+
+
+def _seed_prototypes(clients, params):
+    """Generalized prototypes from the initial model, so GPCL is active."""
+    from protofed.prototypes import average_prototypes, local_prototypes
+
+    return average_prototypes(
+        [local_prototypes(forward(params, c.data.x).acts[-1], c.data.labels) for c in clients]
+    )
+
+
+def _assert_same_result(a, b):
+    assert a.params.shapes == b.params.shapes
+    assert np.array_equal(a.params.flat, b.params.flat)
+    assert a.prototypes.classes() == b.prototypes.classes()
+    for k in a.prototypes.classes():
+        assert np.array_equal(a.prototypes.vector(k), b.prototypes.vector(k))
+        assert a.prototypes.support(k) == b.prototypes.support(k)
+    assert a.losses == b.losses
+
+
+LOCKSTEP = replace(TINY, clients_per_domain=(3, 2), epochs=2, batch_size=8)
+
+
+class TestLockstep:
+    """Training every client in one stacked update must equal training each
+    client alone, bitwise."""
+
+    @pytest.mark.parametrize("mixup_mode", ["off", "feature", "input"])
+    @pytest.mark.parametrize("sizes", [None, (23, 8, 17, 5, 23)], ids=["equal", "ragged"])
+    def test_all_clients_equal_each_alone(self, mixup_mode, sizes):
+        cfg = replace(LOCKSTEP, mixup_mode=mixup_mode)
+        clients, theta0 = _fresh_clients(cfg, sizes)
+        generalized = _seed_prototypes(clients, theta0)
+        if sizes is None:  # synthetic clients are all the same size
+            assert len({len(c.data) for c in clients}) == 1
+        together = local_updates(clients, theta0, generalized, cfg)
+        for i, result in enumerate(together):
+            alone_clients, _ = _fresh_clients(cfg, sizes)
+            [alone] = local_updates([alone_clients[i]], theta0, generalized, cfg)
+            _assert_same_result(result, alone)
+
+    def test_results_in_client_id_order(self):
+        clients, theta0 = _fresh_clients(LOCKSTEP, (23, 8, 17, 5, 23))
+        forward_order = local_updates(clients, theta0, None, LOCKSTEP)
+        clients, _ = _fresh_clients(LOCKSTEP, (23, 8, 17, 5, 23))
+        reverse_order = local_updates(clients[::-1], theta0, None, LOCKSTEP)
+        for a, b in zip(forward_order, reverse_order):
+            _assert_same_result(a, b)
+
+    def test_first_failing_step_then_lowest_client(self):
+        # FedAvg mode, one epoch, batches of 4: a NaN input row fails the
+        # step whose batch holds it. Client 0 fails at step 2, clients 1 and
+        # 2 at step 1, so the report names client 1 at local step 1.
+        cfg = replace(LOCKSTEP, epochs=1, batch_size=4, gpcl_enabled=False,
+                      apa_enabled=False, mixup_mode="off")
+        clients, theta0 = _fresh_clients(cfg, (12, 12, 12, 12, 12))
+        for c, position in ((clients[0], 9), (clients[1], 5), (clients[2], 4)):
+            row = Rng(cfg.seed, c.client_id).permutation(len(c.data))[position]
+            c.data.x[row] = np.nan
+        with pytest.raises(FloatingPointError, match=r"^client 1, local step 1: ce loss is nan$"):
+            local_updates(clients, theta0, None, cfg)
+
+    def test_diverged_ce_names_bound(self):
+        cfg = replace(TINY, lr=1e6, gpcl_enabled=False, apa_enabled=False, mixup_mode="off")
+        bound = r"ce loss is \S+, above MAX_STEP_CE = 1e\+06"
+        with pytest.raises(FloatingPointError, match=bound):
+            run_experiment(cfg)

@@ -6,7 +6,7 @@ import pytest
 from protofed.losses import LossBreakdown, apa_loss, cross_entropy, gpcl_loss, total_loss
 from protofed.prototypes import Prototype, PrototypeSet
 
-from oracles import finite_diff_grad, rel_error
+from oracles import cosine_similarity, finite_diff_grad, rel_error
 
 
 def proto_set(vectors: dict) -> PrototypeSet:
@@ -46,6 +46,16 @@ class TestCrossEntropy:
         numeric = finite_diff_grad(lambda zz: cross_entropy(zz, y)[0], z.copy(), 1e-5)
         assert rel_error(grad, numeric) < 1e-4
 
+    def test_stacked_matches_each_batch(self):
+        rng = np.random.default_rng(2)
+        z = rng.normal(size=(4, 6, 3)) * 5
+        y = rng.integers(0, 3, (4, 6))
+        losses, grads = cross_entropy(z, y)
+        assert losses.shape == (4,) and grads.shape == z.shape
+        for m in range(4):
+            loss, grad = cross_entropy(z[m], y[m])
+            assert losses[m] == loss and np.array_equal(grads[m], grad)
+
     def test_grad_rows_sum_to_zero(self):
         rng = np.random.default_rng(1)
         z = rng.normal(size=(4, 3))
@@ -54,6 +64,19 @@ class TestCrossEntropy:
 
 
 class TestGpclLoss:
+    def test_cosine_matrix_matches_pairwise_oracle(self):
+        from protofed.losses import _cosine_matrix
+
+        rng = np.random.default_rng(4)
+        h = rng.normal(size=(5, 3))
+        h[0] = 0.0  # norm floor
+        protos = rng.normal(size=(4, 3))
+        sims, _, _ = _cosine_matrix(h, protos)
+        for i in range(5):
+            for k in range(4):
+                expected = cosine_similarity(h[i], protos[k])
+                assert np.clip(sims[i, k], -1.0, 1.0) == pytest.approx(expected, abs=1e-12)
+
     def test_single_class_zero(self):
         h = np.array([[1.0, 2.0], [3.0, -1.0]])
         loss, grad = gpcl_loss(h, [0, 0], proto_set({0: [1.0, 0.0]}), 0.07)

@@ -268,3 +268,74 @@ class TestSerialization:
     def test_zero_layers_rejected(self):
         with pytest.raises(ValueError, match="byte offset 8"):
             params_from_bytes(b"PFLM" + struct.pack("<II", 1, 0))
+
+    def test_classifier_only_rejected(self):
+        # one (2, 3) layer and its full body: no extractor layer to run
+        blob = b"PFLM" + struct.pack("<IIII", 1, 1, 2, 3) + b"\0" * 8 * (2 * 3 + 2)
+        with pytest.raises(ValueError, match="layer count at byte offset 8 is 1"):
+            params_from_bytes(blob)
+
+    def test_stacked_params_rejected(self):
+        p = small_model()
+        stacked = ModelParams(np.stack([p.flat, p.flat]), p.shapes)
+        with pytest.raises(ValueError, match="one model"):
+            params_to_bytes(stacked)
+
+
+def _stack(models: list[ModelParams]) -> ModelParams:
+    return ModelParams(np.stack([p.flat for p in models]), models[0].shapes)
+
+
+class TestClientAxis:
+    """(M, P) parameters run M clients at once; row m must be bitwise the
+    2-D computation for client m alone."""
+
+    @pytest.mark.parametrize(
+        "num, batch, arch, k",
+        [
+            (1, 5, (4, 2, 3), 2),
+            (3, 1, (4, 3), 2),
+            (5, 32, (16, 32, 16), 5),
+            (2, 7, (3, 6, 5, 4), 3),
+        ],
+    )
+    def test_stacked_step_matches_each_client(self, num, batch, arch, k):
+        from protofed.losses import cross_entropy
+
+        rng = np.random.default_rng(num * 100 + batch)
+        models = [small_model(seed=s, arch=arch, k=k) for s in range(num)]
+        x = rng.normal(size=(num, batch, arch[0]))
+        y = rng.integers(0, k, (num, batch))
+        dh = rng.normal(size=(num, batch, arch[-1]))
+        stacked = _stack(models)
+        trace = forward(stacked, x)
+        ce, dz = cross_entropy(trace.logits_2d, y)
+        grads = backward(stacked, trace, dz, dh)
+        stepped = sgd_step(stacked, grads, lr=0.1, weight_decay=1e-3)
+        for m, p in enumerate(models):
+            t = forward(p, x[m])
+            ce_m, dz_m = cross_entropy(t.logits_2d, y[m])
+            g = backward(p, t, dz_m, dh[m])
+            assert np.array_equal(trace.acts[-1][m], t.acts[-1])
+            assert np.array_equal(trace.logits_2d[m], t.logits_2d)
+            assert ce[m] == ce_m and np.array_equal(dz[m], dz_m)
+            assert np.array_equal(grads.flat[m], g.flat)
+            assert np.array_equal(stepped.flat[m], sgd_step(p, g, 0.1, 1e-3).flat)
+
+    def test_layer_views_carry_client_axis(self):
+        models = [small_model(seed=s) for s in range(3)]
+        stacked = _stack(models)
+        for m, p in enumerate(models):
+            for (w, b), (wm, bm) in zip(stacked.extractor + [stacked.classifier],
+                                        p.extractor + [p.classifier]):
+                assert np.shares_memory(w, stacked.flat)
+                assert np.array_equal(w[m], wm) and np.array_equal(b[m], bm)
+
+    def test_input_must_match_client_axis(self):
+        stacked = _stack([small_model(seed=s) for s in range(3)])
+        with pytest.raises(ValueError, match="client axes"):
+            forward(stacked, np.ones((2, 5, 4)))
+        with pytest.raises(ValueError, match="client axes"):
+            forward(stacked, np.ones((5, 4)))
+        with pytest.raises(ValueError, match="gradient shapes"):
+            sgd_step(stacked, zeros_like(small_model()), lr=0.1, weight_decay=0.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from protofed.prototypes import (
     PrototypeSet,
     average_prototypes,
     ema_update,
-    load_prototypes_json,
     local_prototypes,
     mix_rows,
     mixup_pairs,
@@ -329,11 +330,41 @@ class TestSerialization:
         )
         path = tmp_path / "protos.json"
         save_prototypes_json(original, path)
-        back = load_prototypes_json(path)
-        assert back.classes() == original.classes()
+        back = json.loads(path.read_text(encoding="utf-8"))
+        assert list(back) == [str(k) for k in original.classes()]
         for k in original.classes():
-            assert np.allclose(back.vector(k), original.vector(k), atol=0)
-            assert back.support(k) == original.support(k)
+            assert np.array_equal(back[str(k)]["vector"], original.vector(k))
+            assert back[str(k)]["support"] == original.support(k)
+
+    def test_json_golden_bytes(self, tmp_path):
+        protos = PrototypeSet(
+            {
+                10: Prototype(np.array([0.1, -2.0]), 3),
+                2: Prototype(np.array([1e-17, 5.0]), 1),
+            }
+        )
+        path = tmp_path / "prototypes.json"
+        save_prototypes_json(protos, path)
+        # keys sorted as strings ("10" < "2"), two-space indent, shortest
+        # round-trip float repr, trailing newline
+        assert path.read_bytes() == (
+            b'{\n'
+            b'  "10": {\n'
+            b'    "support": 3,\n'
+            b'    "vector": [\n'
+            b'      0.1,\n'
+            b'      -2.0\n'
+            b'    ]\n'
+            b'  },\n'
+            b'  "2": {\n'
+            b'    "support": 1,\n'
+            b'    "vector": [\n'
+            b'      1e-17,\n'
+            b'      5.0\n'
+            b'    ]\n'
+            b'  }\n'
+            b'}\n'
+        )
 
 
 class TestMixupPairs:
