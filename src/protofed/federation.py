@@ -174,21 +174,19 @@ def local_updates(
     generalized: PrototypeSet | None,
     cfg: ExperimentConfig,
 ) -> list[LocalUpdateResult]:
-    """Train the received global model on every client's data in lockstep,
-    then compute each client's local prototypes over its full dataset with
-    its final model. Results come in client-id order.
+    """Train the received global model on every client's data in lockstep
+    (see the module docstring), then compute each client's local prototypes
+    over its full dataset with its final model. Results come in client-id
+    order.
 
-    Per step: stacked forward and CE, GPCL against the generalized
+    Per step: stacked forward and CE; GPCL against the generalized
     prototypes (skipped while none exist yet) and APA against per-batch
-    augmented prototypes per client, then one stacked SGD step. Each epoch
-    every client draws its batch order from its own stream; its batch size
-    is clamped to its dataset. At each step the clients whose current batch
-    has the same length form one group.
-
-    A non-finite loss term, or a CE above MAX_STEP_CE, raises
-    FloatingPointError naming the client, its local step (counted from 0
-    across epochs) and the term: at the first failing step, the lowest
-    failing client id.
+    augmented prototypes, per client; one stacked backward and SGD step.
+    Each epoch every client draws its batch order from its own stream; its
+    batch size is clamped to its dataset. A non-finite loss term, or a CE
+    above MAX_STEP_CE, raises FloatingPointError naming the client, its
+    local step (counted from 0 across epochs) and the term: at the first
+    failing step, for the lowest failing client id.
     """
     ordered = sorted(clients, key=lambda c: c.client_id)
     for c in ordered:
@@ -206,15 +204,23 @@ def local_updates(
     per_epoch = [math.ceil(len(c.data) / min(cfg.batch_size, len(c.data))) for c in ordered]
     use_gpcl = cfg.gpcl_enabled and generalized is not None
     ce_sum, gpcl_sum, apa_sum = np.zeros(num), np.zeros(num), np.zeros(num)
+    # per block: its members' (G, n, in) inputs and (G, n) labels, refilled
+    # in place each epoch in that epoch's batch order
+    shuffled = [
+        (
+            members,
+            np.empty((len(members), n) + ordered[members[0]].data.x.shape[1:]),
+            np.empty((len(members), n), dtype=np.int64),
+        )
+        for n, members in blocks.items()
+    ]
 
     for epoch in range(cfg.epochs):
-        # per block: its members' samples in this epoch's batch order, as
-        # (G, n, in) inputs and (G, n) labels
-        shuffled = []
-        for n, members in blocks.items():
-            epoch_data = [ordered[m].data.take(ordered[m].rng.permutation(n)) for m in members]
-            shuffled.append((members, np.stack([d.x for d in epoch_data]),
-                             np.stack([d.labels for d in epoch_data])))
+        for members, xs, ys in shuffled:
+            for j, m in enumerate(members):
+                perm = ordered[m].rng.permutation(xs.shape[1])
+                np.take(ordered[m].data.x, perm, axis=0, out=xs[j])
+                np.take(ordered[m].data.labels, perm, out=ys[j])
         for step in range(max(per_epoch)):
             failures = []
             for members, xb, yb in _step_groups(shuffled, step, cfg.batch_size):
@@ -255,18 +261,15 @@ def local_updates(
             if failures:
                 raise FloatingPointError(min(failures)[1])
 
-    protos: dict[int, PrototypeSet] = {}
-    for members in blocks.values():
-        final = ModelParams(current.flat[members], shapes)
-        features = forward(final, np.stack([ordered[m].data.x for m in members])).acts[-1]
-        for m, h in zip(members, features):
-            protos[m] = local_prototypes(h, ordered[m].data.labels)
     results = []
-    for m in range(num):
+    for m, c in enumerate(ordered):
+        # one client at a time: stacking every client's full dataset would
+        # hold M times the activations for a forward that runs once a round
+        params = ModelParams(current.flat[m], shapes)
+        protos = local_prototypes(forward(params, c.data.x).acts[-1], c.data.labels)
         steps = cfg.epochs * per_epoch[m]
         mean = total_loss(*(float(s[m] / steps) for s in (ce_sum, gpcl_sum, apa_sum)))
-        params = ModelParams(current.flat[m], shapes)
-        results.append(LocalUpdateResult(params, protos[m], mean))
+        results.append(LocalUpdateResult(params, protos, mean))
     return results
 
 
