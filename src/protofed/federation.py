@@ -219,8 +219,8 @@ def local_updates(
         for members, xs, ys in shuffled:
             for j, m in enumerate(members):
                 perm = ordered[m].rng.permutation(xs.shape[1])
-                np.take(ordered[m].data.x, perm, axis=0, out=xs[j])
-                np.take(ordered[m].data.labels, perm, out=ys[j])
+                xs[j] = ordered[m].data.x[perm]
+                ys[j] = ordered[m].data.labels[perm]
         for step in range(max(per_epoch)):
             failures = []
             for members, xb, yb in _step_groups(shuffled, step, cfg.batch_size):
