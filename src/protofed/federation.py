@@ -150,7 +150,8 @@ def _step_groups(shuffled, step: int, batch_size: int):
     (G, L) labels) for each batch length L, from per-block shuffled data.
     A block's members share a size and so a batch schedule; blocks whose
     current batches have equal length are concatenated, and a block with
-    no batch left at this step sits it out."""
+    no batch left at this step sits it out. Members therefore come block by
+    block, not in client-id order, even when a group holds every client."""
     groups: dict[int, tuple[list[int], list, list]] = {}
     for members, xs, ys in shuffled:
         bs = min(batch_size, ys.shape[1])
@@ -194,8 +195,8 @@ def local_updates(
             raise ValueError(f"client {c.client_id} has no data")
     num = len(ordered)
     shapes = global_params.shapes
-    # every client's model, one per row; replaced by each whole-group step,
-    # updated row-wise by partial groups
+    # every client's model, one per row; each group gathers its members'
+    # rows and writes them back after its step
     current = ModelParams(np.repeat(global_params.flat[None, :], num, axis=0), shapes)
     # Clients of equal size share a batch schedule: one block of them per size.
     blocks: dict[int, list[int]] = {}
@@ -224,9 +225,7 @@ def local_updates(
         for step in range(max(per_epoch)):
             failures = []
             for members, xb, yb in _step_groups(shuffled, step, cfg.batch_size):
-                whole = len(members) == num
-                sel = slice(None) if whole else members
-                params = current if whole else ModelParams(current.flat[members], shapes)
+                params = ModelParams(current.flat[members], shapes)
                 trace = forward(params, xb)
                 h = trace.acts[-1]
                 ce, d_logits = cross_entropy(trace.logits_2d, yb)
@@ -241,23 +240,19 @@ def local_updates(
                     for j, p_tilde in enumerate(_apa_targets(params, h, xb, yb, rngs, cfg)):
                         apa[j], g = apa_loss(h[j], yb[j], p_tilde, cfg.apa_class_mean)
                         d_features[j] += g
-                ok = (ce <= MAX_STEP_CE) & np.isfinite(gpcl) & np.isfinite(apa)
-                for j in np.flatnonzero(~ok):
-                    m = members[j]
-                    cid = ordered[m].client_id
-                    where = f"client {cid}, local step {epoch * per_epoch[m] + step}"
-                    failures.append((cid, f"{where}: {_bad_term(ce[j], gpcl[j], apa[j])}"))
+                for j, m in enumerate(members):
+                    why = _bad_term(float(ce[j]), float(gpcl[j]), float(apa[j]))
+                    if why is not None:
+                        cid = ordered[m].client_id
+                        where = f"client {cid}, local step {epoch * per_epoch[m] + step}"
+                        failures.append((cid, f"{where}: {why}"))
                 if failures:
                     continue
                 grads = backward(params, trace, d_logits, d_features)
-                stepped = sgd_step(params, grads, cfg.lr, cfg.weight_decay)
-                if whole:
-                    current = stepped
-                else:
-                    current.flat[members] = stepped.flat
-                ce_sum[sel] += ce
-                gpcl_sum[sel] += gpcl
-                apa_sum[sel] += apa
+                current.flat[members] = sgd_step(params, grads, cfg.lr, cfg.weight_decay).flat
+                ce_sum[members] += ce
+                gpcl_sum[members] += gpcl
+                apa_sum[members] += apa
             if failures:
                 raise FloatingPointError(min(failures)[1])
 

@@ -354,7 +354,15 @@ class TestLockstep:
     client alone, bitwise."""
 
     @pytest.mark.parametrize("mixup_mode", ["off", "feature", "input"])
-    @pytest.mark.parametrize("sizes", [None, (23, 8, 17, 5, 23)], ids=["equal", "ragged"])
+    # ragged: short last batches, a batch of one, a client smaller than the
+    # batch, groups spanning size blocks. interleaved: every batch is full
+    # at the first steps, so all clients form one group whose members come
+    # block by block (0, 2, 4, 1, 3), not in client-id order.
+    @pytest.mark.parametrize(
+        "sizes",
+        [None, (23, 8, 17, 5, 23), (16, 24, 16, 24, 16)],
+        ids=["equal", "ragged", "interleaved"],
+    )
     def test_all_clients_equal_each_alone(self, mixup_mode, sizes):
         cfg = replace(LOCKSTEP, mixup_mode=mixup_mode)
         clients, theta0 = _fresh_clients(cfg, sizes)
