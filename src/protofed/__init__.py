@@ -20,7 +20,7 @@ from .federation import (
     run_experiment,
     run_round,
 )
-from .losses import LossBreakdown, apa_loss, cross_entropy, gpcl_loss, total_loss
+from .losses import LossBreakdown, apa_loss, cross_entropy, gpcl_loss, gpcl_targets, total_loss
 from .model import (
     ForwardTrace,
     ModelParams,
@@ -33,7 +33,6 @@ from .model import (
 )
 from .numerics import Rng, sample_beta, sq_l2_distance
 from .prototypes import (
-    Prototype,
     PrototypeSet,
     ReweightReport,
     average_prototypes,

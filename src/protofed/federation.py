@@ -14,8 +14,9 @@ backward and SGD step. With synthetic data every client holds the same
 number of samples, so all clients form one group at every step; with CSV
 data of unequal domains, clients whose batches differ in length (or that
 have no batches left this epoch) step in separate groups, and a group of one
-is simply M = 1. The prototype terms (GPCL, APA and their mixup draws) run
-per client on its own rows, in client-id order. Each client's random draws
+is simply M = 1. GPCL, the per-batch class means, mixup's row mixing and
+APA run stacked over the group too; only the mixup draws go client by
+client, each from its own stream in row order. Each client's random draws
 and arithmetic are therefore exactly those of training it alone.
 
 With GPCL, APA and mixup all disabled the loop degrades to plain FedAvg and
@@ -39,7 +40,7 @@ from .datagen import (
     partition,
     split_by_domain,
 )
-from .losses import LossBreakdown, apa_loss, cross_entropy, gpcl_loss, total_loss
+from .losses import LossBreakdown, apa_loss, cross_entropy, gpcl_loss, gpcl_targets, total_loss
 from .model import ModelParams, backward, forward, init_params, sgd_step
 from .numerics import STREAM_DATA, STREAM_INIT, Rng
 from .prototypes import (
@@ -113,25 +114,24 @@ def _apa_targets(
     yb: np.ndarray,
     rngs: list[Rng],
     cfg: ExperimentConfig,
-) -> list[PrototypeSet]:
-    """Per-batch augmented prototypes of each client in a stacked group,
-    under the configured mixup mode.
+) -> PrototypeSet:
+    """Per-batch augmented prototypes of every client in a stacked group,
+    as one (G, K, d) set, under the configured mixup mode.
 
     off: plain per-batch class means. feature: mix cached features across
     classes. input: mix raw inputs and run one fresh (gradient-free) stacked
     forward. Mixup pairs are drawn from each client's own stream, in row
-    order.
+    order; the mixing itself runs on the whole group.
     """
+    k = cfg.num_classes
     if cfg.mixup_mode == "off":
-        return [local_prototypes(h, y) for h, y in zip(features, yb)]
+        return local_prototypes(features, yb, k)
     pairs = [mixup_pairs(y, rng, cfg.alpha) for y, rng in zip(yb, rngs)]
+    gammas, partners = np.stack([g for g, _ in pairs]), np.stack([p for _, p in pairs])
     if cfg.mixup_mode == "feature":
-        return [
-            local_prototypes(mix_rows(h, g, p), y) for h, y, (g, p) in zip(features, yb, pairs)
-        ]
-    mixed_x = np.stack([mix_rows(x, g, p) for x, (g, p) in zip(xb, pairs)])
-    mixed_h = forward(params, mixed_x).acts[-1]
-    return [local_prototypes(h, y) for h, y in zip(mixed_h, yb)]
+        return local_prototypes(mix_rows(features, gammas, partners), yb, k)
+    mixed_h = forward(params, mix_rows(xb, gammas, partners)).acts[-1]
+    return local_prototypes(mixed_h, yb, k)
 
 
 def _bad_term(ce: float, gpcl: float, apa: float) -> str | None:
@@ -177,12 +177,13 @@ def local_updates(
 ) -> list[LocalUpdateResult]:
     """Train the received global model on every client's data in lockstep
     (see the module docstring), then compute each client's local prototypes
-    over its full dataset with its final model. Results come in client-id
-    order.
+    over its full dataset with its final model, one stacked pass per block
+    of equal-size clients. Results come in client-id order.
 
-    Per step: stacked forward and CE; GPCL against the generalized
-    prototypes (skipped while none exist yet) and APA against per-batch
-    augmented prototypes, per client; one stacked backward and SGD step.
+    Per step, each group runs stacked: forward and CE; GPCL against the
+    generalized prototypes (skipped while none exist yet; their matrix and
+    norms are prepared once per call); APA against per-batch augmented
+    prototypes (class means of plain or mixed rows); backward and SGD.
     Each epoch every client draws its batch order from its own stream; its
     batch size is clamped to its dataset. A non-finite loss term, or a CE
     above MAX_STEP_CE, raises FloatingPointError naming the client, its
@@ -203,7 +204,8 @@ def local_updates(
     for m, c in enumerate(ordered):
         blocks.setdefault(len(c.data), []).append(m)
     per_epoch = [math.ceil(len(c.data) / min(cfg.batch_size, len(c.data))) for c in ordered]
-    use_gpcl = cfg.gpcl_enabled and generalized is not None
+    # GPCL's prototype matrix and norms are constants for the whole update
+    targets = gpcl_targets(generalized) if cfg.gpcl_enabled and generalized is not None else None
     ce_sum, gpcl_sum, apa_sum = np.zeros(num), np.zeros(num), np.zeros(num)
     # per block: its members' (G, n, in) inputs and (G, n) labels, refilled
     # in place each epoch in that epoch's batch order
@@ -230,16 +232,15 @@ def local_updates(
                 h = trace.acts[-1]
                 ce, d_logits = cross_entropy(trace.logits_2d, yb)
                 d_features = np.zeros_like(h)
-                gpcl, apa = np.zeros(len(members)), np.zeros(len(members))
-                if use_gpcl:
-                    for j in range(len(members)):
-                        gpcl[j], g = gpcl_loss(h[j], yb[j], generalized, cfg.tau)
-                        d_features[j] += g
+                gpcl = apa = np.zeros(len(members))
+                if targets is not None:
+                    gpcl, g = gpcl_loss(h, yb, targets, cfg.tau)
+                    d_features += g
                 if cfg.apa_enabled:
                     rngs = [ordered[m].rng for m in members]
-                    for j, p_tilde in enumerate(_apa_targets(params, h, xb, yb, rngs, cfg)):
-                        apa[j], g = apa_loss(h[j], yb[j], p_tilde, cfg.apa_class_mean)
-                        d_features[j] += g
+                    p_tilde = _apa_targets(params, h, xb, yb, rngs, cfg)
+                    apa, g = apa_loss(h, yb, p_tilde, cfg.apa_class_mean)
+                    d_features += g
                 for j, m in enumerate(members):
                     why = _bad_term(float(ce[j]), float(gpcl[j]), float(apa[j]))
                     if why is not None:
@@ -256,15 +257,20 @@ def local_updates(
             if failures:
                 raise FloatingPointError(min(failures)[1])
 
-    results = []
-    for m, c in enumerate(ordered):
-        # one client at a time: stacking every client's full dataset would
-        # hold M times the activations for a forward that runs once a round
-        params = ModelParams(current.flat[m], shapes)
-        protos = local_prototypes(forward(params, c.data.x).acts[-1], c.data.labels)
-        steps = cfg.epochs * per_epoch[m]
-        mean = total_loss(*(float(s[m] / steps) for s in (ce_sum, gpcl_sum, apa_sum)))
-        results.append(LocalUpdateResult(params, protos, mean))
+    final = [ModelParams(current.flat[m], shapes) for m in range(num)]
+    results: list = [None] * num
+    for members in blocks.values():
+        # Full datasets, in data order: forward one client at a time (a
+        # stacked forward over whole datasets measured slower), then the
+        # block's class means in one stacked pass.
+        h = np.stack([forward(final[m], ordered[m].data.x).acts[-1] for m in members])
+        y = np.stack([ordered[m].data.labels for m in members])
+        protos = local_prototypes(h, y, cfg.num_classes)
+        for j, m in enumerate(members):
+            steps = cfg.epochs * per_epoch[m]
+            mean = total_loss(*(float(s[m] / steps) for s in (ce_sum, gpcl_sum, apa_sum)))
+            own = PrototypeSet(protos.vectors[j], protos.support[j])
+            results[m] = LocalUpdateResult(final[m], own, mean)
     return results
 
 

@@ -1,7 +1,9 @@
 """The three client-side loss terms and their gradients.
 
-Every loss returns (scalar, per-sample gradient array). Prototype arguments
-are treated as constants: no gradient flows into the generalized prototypes
+Every loss returns (scalar, per-sample gradient array) for one batch, and
+(per-batch array, gradient array) for a stack of batches with a leading
+client axis, each batch's part bitwise that of the batch alone. Prototype
+arguments are constants: no gradient flows into the generalized prototypes
 (server-supplied) or into the augmented prototypes (recomputed per batch and
 used as alignment targets). The total objective is the plain unweighted sum
 of the three terms.
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EPS_NORM
-from .prototypes import PrototypeSet
+from .numerics import EPS_NORM, check_batch
+from .prototypes import PrototypeSet, local_prototypes
 
 
 @dataclass(frozen=True)
@@ -36,16 +38,6 @@ def total_loss(ce: float, gpcl: float, apa: float) -> LossBreakdown:
     return LossBreakdown(ce, gpcl, apa, ce + gpcl + apa)
 
 
-def _check_batch(rows, labels) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(rows, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if a.ndim != 2 or a.shape[0] == 0:
-        raise ValueError("expected a nonempty (B, n) array")
-    if y.shape != (a.shape[0],):
-        raise ValueError("labels must match the batch size")
-    return a, y
-
-
 def cross_entropy(logits, labels) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean -log softmax(z)[y] over the batch; grad rows (softmax - onehot)/B.
 
@@ -53,16 +45,8 @@ def cross_entropy(logits, labels) -> tuple[float | np.ndarray, np.ndarray]:
     (M, B, K) with (M, B) labels, gives an (M,) array of per-client losses,
     each bitwise the loss of that client's batch alone.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if z.ndim not in (2, 3) or z.shape[-2] == 0:
-        raise ValueError("expected a nonempty (B, K) or (M, B, K) array")
-    if y.shape != z.shape[:-1]:
-        raise ValueError("labels must match the batch size")
-    k = z.shape[-1]
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
-    b = z.shape[-2]
+    z, y = check_batch(logits, labels, np.shape(logits)[-1])
+    b, k = z.shape[-2:]
     picks = y.reshape(-1) + k * np.arange(y.size)  # flat index of each z[..., y]
     shifted = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
@@ -72,18 +56,35 @@ def cross_entropy(logits, labels) -> tuple[float | np.ndarray, np.ndarray]:
     return (float(loss) if z.ndim == 2 else loss), grad / b
 
 
-def _cosine_matrix(h: np.ndarray, protos: np.ndarray):
-    """Pairwise cosine similarities with the norm floor; returns the raw
-    (unclamped) matrix plus the floored norms needed for the Jacobian."""
-    nh = np.maximum(np.linalg.norm(h, axis=1), EPS_NORM)
-    ng = np.maximum(np.linalg.norm(protos, axis=1), EPS_NORM)
-    sims = (h @ protos.T) / (nh[:, None] * ng[None, :])
-    return sims, nh, ng
+@dataclass(frozen=True)
+class GpclTargets:
+    """The generalized prototypes as GPCL reads them, prepared once per
+    local update (they are constants there)."""
+
+    protos: np.ndarray  # (C, d): the present prototypes, in class order
+    norms: np.ndarray  # (C,): their norms, floored at EPS_NORM
+    row_of: np.ndarray  # (K,): each class id's row in protos, -1 if absent
 
 
-def gpcl_loss(
-    features, labels, generalized: PrototypeSet, tau: float
-) -> tuple[float, np.ndarray]:
+def gpcl_targets(generalized: PrototypeSet) -> GpclTargets:
+    present = generalized.present
+    if not present.any():
+        raise ValueError("generalized prototype set is empty")
+    protos = generalized.vectors[present]
+    norms = np.maximum(np.linalg.norm(protos, axis=1), EPS_NORM)
+    return GpclTargets(protos, norms, np.where(present, np.cumsum(present) - 1, -1))
+
+
+def _cosine_matrix(h: np.ndarray, protos: np.ndarray, ng: np.ndarray):
+    """Pairwise cosine similarities with the norm floor, for one batch or a
+    stack; ng are the prototypes' floored norms. Returns the raw (unclamped)
+    matrix plus the feature norms, raw and floored, that the Jacobian needs."""
+    norms = np.linalg.norm(h, axis=-1)
+    nh = np.maximum(norms, EPS_NORM)
+    return (h @ protos.T) / (nh[..., None] * ng), norms, nh
+
+
+def gpcl_loss(features, labels, targets: GpclTargets, tau: float):
     """Contrastive pull toward the same-class generalized prototype.
 
     Softmax over cosine similarities to every generalized prototype at
@@ -91,73 +92,65 @@ def gpcl_loss(
     Prototypes are constants; the gradient w.r.t. each feature goes through
     the cosine-similarity Jacobian.
     """
-    h, y = _check_batch(features, labels)
+    h, y = check_batch(features, labels, targets.row_of.size)
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    if len(generalized) == 0:
-        raise ValueError("generalized prototype set is empty")
-    classes = generalized.classes()
-    pos_index = {k: i for i, k in enumerate(classes)}
-    missing = sorted({int(v) for v in y} - set(classes))
-    if missing:
+    pos = targets.row_of[y]
+    if (pos < 0).any():
+        missing = sorted({int(v) for v in y[pos < 0]})
         raise ValueError(f"labels {missing} have no generalized prototype")
-
-    protos = np.stack([generalized.vector(k) for k in classes])
-    sims_raw, nh, ng = _cosine_matrix(h, protos)
+    protos, ng = targets.protos, targets.norms
+    sims_raw, norms, nh = _cosine_matrix(h, protos, ng)
     sims = np.clip(sims_raw, -1.0, 1.0)
 
-    b = h.shape[0]
-    pos = np.array([pos_index[int(v)] for v in y])
+    b = h.shape[-2]
+    pos = pos[..., None]
     z = sims / tau
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(lse - shifted[np.arange(b), pos]))
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    loss = np.mean(lse - np.take_along_axis(shifted, pos, axis=-1)[..., 0], axis=-1)
 
-    softmax = np.exp(shifted - lse[:, None])
-    dsim = softmax.copy()
-    dsim[np.arange(b), pos] -= 1.0
+    dsim = np.exp(shifted - lse[..., None])
+    np.put_along_axis(dsim, pos, np.take_along_axis(dsim, pos, axis=-1) - 1.0, axis=-1)
     dsim /= b * tau
     dsim[np.abs(sims_raw) > 1.0] = 0.0  # clamp region: flat
 
     # d s_ik / d h_i = p_k / (|h| |p_k|) - s_ik * h_i / |h|^2 on the interior;
     # when the norm floor binds, |h| is constant and the second term vanishes.
-    grad = (dsim / ng[None, :]) @ protos / nh[:, None]
-    interior = (np.linalg.norm(h, axis=1) >= EPS_NORM).astype(np.float64)
-    grad -= ((dsim * sims_raw).sum(axis=1) * interior / nh**2)[:, None] * h
-    return loss, grad
+    grad = (dsim / ng) @ protos / nh[..., None]
+    interior = (norms >= EPS_NORM).astype(np.float64)
+    grad -= ((dsim * sims_raw).sum(axis=-1) * interior / nh**2)[..., None] * h
+    return (float(loss) if h.ndim == 2 else loss), grad
 
 
-def apa_loss(
-    features, labels, p_tilde: PrototypeSet, class_mean: bool = False
-) -> tuple[float, np.ndarray]:
+def apa_loss(features, labels, p_tilde: PrototypeSet, class_mean: bool = False):
     """Squared-L2 pull toward the augmented prototype of the sample's class.
 
     Default reading: per-sample mean (1/B) sum_i |h_i - p~_{y_i}|^2, samples
     whose class has no augmented prototype contributing zero. The alternative
     class-mean reading (sum over classes of |mean_k(h) - p~_k|^2) is kept for
-    comparison behind the flag.
+    comparison behind the flag. A stack of batches takes a (G, K, d) set.
     """
-    h, y = _check_batch(features, labels)
-    b, d = h.shape
-    grad = np.zeros_like(h)
+    h, y = check_batch(features, labels, p_tilde.vectors.shape[-2])
+    if h.ndim == 2:  # one batch: a stack of one
+        stacked = PrototypeSet(p_tilde.vectors[None], p_tilde.support[None])
+        loss, grad = apa_loss(h[None], y[None], stacked, class_mean)
+        return float(loss[0]), grad[0]
+    vectors, present = p_tilde.vectors, p_tilde.present
+    b = h.shape[-2]
+    counted = np.take_along_axis(present, y, axis=-1)[..., None]
 
     if class_mean:
-        loss = 0.0
-        for k in np.unique(y):
-            if int(k) not in p_tilde:
-                continue
-            mask = y == k
-            mean_k = h[mask].mean(axis=0)
-            diff = mean_k - p_tilde.vector(int(k))
-            loss += float(np.dot(diff, diff))
-            grad[mask] = 2.0 * diff / mask.sum()
-        return loss, grad
-
-    counted = np.array([int(v) in p_tilde for v in y])
-    if not counted.any():
-        return 0.0, grad
-    targets = np.stack([p_tilde.vector(int(v)) if c else np.zeros(d) for v, c in zip(y, counted)])
-    diff = (h - targets) * counted[:, None]
-    loss = float((diff * diff).sum() / b)
-    grad = 2.0 * diff / b
+        means = local_prototypes(h, y, vectors.shape[-2])
+        diff = means.vectors - vectors
+        # one np.dot per class, added up in class order from 0.0
+        dots = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+        loss = np.add.accumulate(np.where(means.present & present, dots, 0.0), axis=-1)[..., -1]
+        per_class = 2.0 * diff / np.maximum(means.support, 1)[..., None]
+        grad = np.where(counted, np.take_along_axis(per_class, y[..., None], axis=-2), 0.0)
+    else:
+        diff = (h - np.take_along_axis(vectors, y[..., None], axis=-2)) * counted
+        loss = (diff * diff).reshape(len(h), -1).sum(axis=-1) / b
+        # a batch with no counted sample has an exactly zero gradient
+        grad = np.where(counted.any(axis=-2, keepdims=True), 2.0 * diff / b, 0.0)
     return loss, grad

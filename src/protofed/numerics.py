@@ -1,5 +1,5 @@
-"""Seeded randomness, the norm floor and the squared-distance kernel shared
-by every module.
+"""Seeded randomness, the norm floor, the squared-distance kernel and the
+batch check shared by every module.
 
 Vectors and matrices are plain float64 numpy arrays throughout the package;
 nothing here wraps them. The RNG is counter-based (Philox) keyed by
@@ -75,6 +75,20 @@ def sq_l2_distance(u, v) -> float:
     u, v = _check_pair(u, v)
     diff = u - v
     return float(np.dot(diff, diff))
+
+
+def check_batch(rows, labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """A batch (B, n) or a stack of batches (G, B, n), with matching labels
+    in [0, num_classes)."""
+    a = np.asarray(rows, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if a.ndim not in (2, 3) or a.shape[-2] == 0:
+        raise ValueError("expected a nonempty (B, n) or (G, B, n) array")
+    if y.shape != a.shape[:-1]:
+        raise ValueError("labels must match the batch size")
+    if y.min() < 0 or y.max() >= num_classes:
+        raise ValueError(f"labels must lie in [0, {num_classes})")
+    return a, y
 
 
 def _sample_gamma(rng: Rng, alpha: float) -> float:

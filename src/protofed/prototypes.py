@@ -18,47 +18,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, sample_beta, sq_l2_distance
+from .numerics import Rng, check_batch, sample_beta, sq_l2_distance
 
 # Below this total distance the reweighting denominator carries no signal and
 # weights fall back to uniform.
 DEGENERATE_DISTANCE = 1e-12
 
-@dataclass(frozen=True)
-class Prototype:
-    vector: np.ndarray
-    support: int
-
 
 @dataclass
 class PrototypeSet:
-    """Class id -> (centroid vector, contributing item count)."""
+    """Class-indexed centroids: row k of vectors (K, d) is class k's and
+    support[k] its item (or client) count. A class is present when its
+    support is positive; an absent class's row is zero. Per-batch sets of a
+    lockstep group carry a leading axis: (G, K, d) and (G, K)."""
 
-    entries: dict[int, Prototype]
-
-    def classes(self) -> list[int]:
-        return sorted(self.entries)
-
-    def vector(self, class_id: int) -> np.ndarray:
-        return self.entries[class_id].vector
-
-    def support(self, class_id: int) -> int:
-        return self.entries[class_id].support
+    vectors: np.ndarray
+    support: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return next(iter(self.entries.values())).vector.shape[0]
-
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    def present(self) -> np.ndarray:
+        return self.support > 0
 
     def to_json_dict(self) -> dict:
         return {
-            str(k): {"vector": [float(x) for x in p.vector], "support": int(p.support)}
-            for k, p in sorted(self.entries.items())
+            str(k): {"vector": [float(x) for x in self.vectors[k]], "support": int(self.support[k])}
+            for k in np.flatnonzero(self.present)
         }
 
 
@@ -77,26 +61,33 @@ class ReweightReport:
     per_class: dict[int, ClassReweight]
 
 
-def _as_features(features, labels) -> tuple[np.ndarray, np.ndarray]:
-    h = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if h.ndim != 2:
-        raise ValueError("features must be a (N, d) array")
-    if y.shape != (h.shape[0],):
-        raise ValueError("labels must be a (N,) array matching features")
-    return h, y
+def local_prototypes(features, labels, num_classes: int) -> PrototypeSet:
+    """Per-class arithmetic mean of the feature rows; support = class count.
 
-
-def local_prototypes(features, labels) -> PrototypeSet:
-    """Per-class arithmetic mean of the feature rows; support = class count."""
-    h, y = _as_features(features, labels)
-    if h.shape[0] == 0:
-        raise ValueError("cannot build prototypes from an empty feature set")
-    entries = {}
-    for k in np.unique(y):
-        rows = h[y == k]
-        entries[int(k)] = Prototype(rows.mean(axis=0), rows.shape[0])
-    return PrototypeSet(entries)
+    Takes one batch, (N, d) features with (N,) labels, or a stack of G
+    batches, (G, N, d) with (G, N), and returns the matching (K, d) or
+    (G, K, d) set. Each class's rows are summed in row order through one
+    padded (G, K, max_count, d) array whose unused slots hold -0.0, the
+    exact additive identity, so the padding changes no sum: the result is
+    bitwise ``h[y == k].mean(axis=0)``. numpy sums a single column
+    pairwise, not row by row, so with d = 1 each class is summed alone.
+    """
+    h, y = check_batch(features, labels, num_classes)
+    hs, ys = (h, y) if h.ndim == 3 else (h[None], y[None])
+    ranks = np.cumsum(ys[..., None] == np.arange(num_classes), axis=1)
+    counts = ranks[:, -1]  # (G, K)
+    if h.shape[-1] == 1:
+        sums = np.zeros(counts.shape + (1,))
+        for g, k in zip(*np.nonzero(counts)):
+            sums[g, k] = hs[g][ys[g] == k].sum(axis=0)
+    else:
+        padded = np.full(counts.shape + (counts.max(), h.shape[-1]), -0.0)
+        rank = np.take_along_axis(ranks, ys[..., None], axis=2)[..., 0] - 1
+        padded[np.arange(len(ys))[:, None], ys, rank] = hs
+        sums = padded.sum(axis=2)
+    present = counts[..., None] > 0
+    vectors = np.divide(sums, counts[..., None], out=np.zeros_like(sums), where=present)
+    return PrototypeSet(vectors, counts) if h.ndim == 3 else PrototypeSet(vectors[0], counts[0])
 
 
 def mixup_pairs(labels, rng: Rng, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -122,26 +113,34 @@ def mixup_pairs(labels, rng: Rng, alpha: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def mix_rows(rows: np.ndarray, gammas: np.ndarray, partners: np.ndarray) -> np.ndarray:
-    """Apply mixup pairs to the rows of an array; partner -1 keeps the row."""
+    """Apply mixup pairs to the rows of a batch (B, n), or of a stack of
+    batches (G, B, n) with (G, B) pairs; a partner indexes a row of the same
+    batch, and partner -1 keeps the row."""
     mixed = rows.copy()
     has = partners >= 0
     g = gammas[has][:, None]
-    mixed[has] = g * rows[has] + (1.0 - g) * rows[partners[has]]
+    batch = np.nonzero(has)[:-1]  # the batch of each mixed row, when stacked
+    mixed[has] = g * rows[has] + (1.0 - g) * rows[batch + (partners[has],)]
     return mixed
+
+
+def _stack_sets(client_sets: list[PrototypeSet]):
+    """(M, K, d) vectors, (M, K) presence and (K,) per-class client counts."""
+    if not client_sets:
+        raise ValueError("need at least one client prototype set")
+    present = np.stack([cs.present for cs in client_sets])
+    return np.stack([cs.vectors for cs in client_sets]), present, present.sum(axis=0)
 
 
 def average_prototypes(client_sets: list[PrototypeSet]) -> PrototypeSet:
     """Unweighted per-class mean over the clients that possess the class;
     support counts contributing clients. It is the mean that reweight()
     measures distances from, and on its own the plain averaging aggregator."""
-    if not client_sets:
-        raise ValueError("need at least one client prototype set")
-    all_classes = sorted({k for cs in client_sets for k in cs.entries})
-    entries = {}
-    for k in all_classes:
-        vecs = [cs.vector(k) for cs in client_sets if k in cs]
-        entries[k] = Prototype(np.mean(np.stack(vecs), axis=0), len(vecs))
-    return PrototypeSet(entries)
+    vectors, present, support = _stack_sets(client_sets)
+    out = np.zeros(vectors.shape[1:])
+    for k in np.flatnonzero(support):
+        out[k] = vectors[present[:, k], k].mean(axis=0)
+    return PrototypeSet(out, support)
 
 
 def reweight(
@@ -154,52 +153,41 @@ def reweight(
     contributing prototypes coincide with the mean, including the
     single-client case) they fall back to uniform and the report flags it.
     """
-    if not client_sets:
-        raise ValueError("need at least one client prototype set")
-    entries = {}
+    vectors, present, support = _stack_sets(client_sets)
+    out = np.zeros(vectors.shape[1:])
     report: dict[int, ClassReweight] = {}
-    all_classes = sorted({k for cs in client_sets for k in cs.entries})
-    for k in all_classes:
-        if k not in mu:
+    for k in np.flatnonzero(support):
+        if not mu.present[k]:
             raise ValueError(f"class {k} present in client sets but missing from mean")
-        contrib = [(m, cs.vector(k)) for m, cs in enumerate(client_sets) if k in cs]
-        mu_k = mu.vector(k)
-        dists = np.array([sq_l2_distance(p, mu_k) for _, p in contrib])
+        clients = np.flatnonzero(present[:, k])
+        stacked = vectors[clients, k]
+        dists = np.array([sq_l2_distance(p, mu.vectors[k]) for p in stacked])
         total = float(dists.sum())
-        if total < DEGENERATE_DISTANCE:
-            weights = np.full(len(contrib), 1.0 / len(contrib))
-            fallback = True
-        else:
-            weights = dists / total
-            fallback = False
-        stacked = np.stack([p for _, p in contrib])
-        g_k = (weights[:, None] * stacked).sum(axis=0)
-        entries[k] = Prototype(g_k, len(contrib))
-        report[k] = ClassReweight([m for m, _ in contrib], dists, weights, fallback)
-    return PrototypeSet(entries), ReweightReport(report)
+        fallback = total < DEGENERATE_DISTANCE
+        weights = np.full(len(clients), 1.0 / len(clients)) if fallback else dists / total
+        out[k] = (weights[:, None] * stacked).sum(axis=0)
+        report[int(k)] = ClassReweight(clients.tolist(), dists, weights, fallback)
+    return PrototypeSet(out, support), ReweightReport(report)
 
 
 def ema_update(
     g_new: PrototypeSet, g_prev: PrototypeSet | None, beta: float
 ) -> PrototypeSet:
-    """beta * g_new + (1 - beta) * g_prev per class; classes absent from the
-    previous set (or a missing previous set entirely) pass through unchanged."""
+    """beta * g_new + (1 - beta) * g_prev per class. A class absent from the
+    previous set (or a missing previous set entirely) passes through from
+    g_new; a class absent from g_new is carried forward from g_prev
+    unchanged, so no class the clients were trained against disappears."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     if g_prev is None:
         return g_new
-    entries = {}
-    for k, proto in g_new.entries.items():
-        if k in g_prev:
-            blended = beta * proto.vector + (1.0 - beta) * g_prev.vector(k)
-            entries[k] = Prototype(blended, proto.support)
-        else:
-            entries[k] = proto
-    return PrototypeSet(entries)
+    new, prev = g_new.present[:, None], g_prev.present[:, None]
+    blended = beta * g_new.vectors + (1.0 - beta) * g_prev.vectors
+    vectors = np.where(new, np.where(prev, blended, g_new.vectors), g_prev.vectors)
+    return PrototypeSet(vectors, np.where(g_new.present, g_new.support, g_prev.support))
 
 
 def save_prototypes_json(pset: PrototypeSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(pset.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-

@@ -17,7 +17,13 @@ import numpy as np
 from protofed.config import ExperimentConfig
 from protofed.datagen import PartitionPlan, make_domains, partition
 from protofed.federation import RoundReport
-from protofed.losses import LossBreakdown, apa_loss, cross_entropy, gpcl_loss
+from protofed.losses import (
+    LossBreakdown,
+    apa_loss,
+    cross_entropy,
+    gpcl_loss,
+    gpcl_targets,
+)
 from protofed.model import (
     ModelParams,
     backward,
@@ -28,6 +34,55 @@ from protofed.model import (
 )
 from protofed.numerics import EPS_NORM, STREAM_DATA, STREAM_INIT, Rng
 from protofed.prototypes import PrototypeSet
+
+
+@dataclass(frozen=True)
+class Prototype:
+    vector: np.ndarray
+    support: int
+
+
+@dataclass
+class DictPrototypeSet:
+    """Class id -> (centroid vector, contributing item count): the sparse
+    reading of a dense PrototypeSet that the per-client oracles work on."""
+
+    entries: dict[int, Prototype]
+
+    def classes(self) -> list[int]:
+        return sorted(self.entries)
+
+    def vector(self, class_id: int) -> np.ndarray:
+        return self.entries[class_id].vector
+
+    def support(self, class_id: int) -> int:
+        return self.entries[class_id].support
+
+    def __contains__(self, class_id: int) -> bool:
+        return class_id in self.entries
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def to_dense(self, num_classes: int | None = None) -> PrototypeSet:
+        """The dense (K, d) set with these classes present; K defaults to
+        one past the largest class id."""
+        k = max(self.entries) + 1 if num_classes is None else num_classes
+        dim = next(iter(self.entries.values())).vector.shape[0]
+        vectors = np.zeros((k, dim))
+        support = np.zeros(k, dtype=np.int64)
+        for c, proto in self.entries.items():
+            vectors[c] = proto.vector
+            support[c] = proto.support
+        return PrototypeSet(vectors, support)
+
+
+def as_dict_set(pset: PrototypeSet) -> DictPrototypeSet:
+    """The present classes of a dense (K, d) set, as a DictPrototypeSet."""
+    present = np.flatnonzero(pset.present)
+    return DictPrototypeSet(
+        {int(k): Prototype(pset.vectors[k], int(pset.support[k])) for k in present}
+    )
 
 
 @dataclass
@@ -57,10 +112,10 @@ def naive_reweight(client_sets: list[PrototypeSet]) -> dict[int, list[float]]:
     Shares no arithmetic with the library: means, distances and weighted sums
     are all explicit per-coordinate loops.
     """
-    classes = sorted({k for cs in client_sets for k in cs.entries})
+    classes = sorted({int(k) for cs in client_sets for k in np.flatnonzero(cs.support > 0)})
     out: dict[int, list[float]] = {}
     for k in classes:
-        vecs = [list(cs.vector(k)) for cs in client_sets if k in cs]
+        vecs = [list(cs.vectors[k]) for cs in client_sets if cs.support[k] > 0]
         dim = len(vecs[0])
         mu = [0.0] * dim
         for v in vecs:
@@ -104,6 +159,121 @@ def cosine_similarity(u, v) -> float:
     return float(np.clip(float(np.dot(u, v)) / denom, -1.0, 1.0))
 
 
+def _as_features(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    h = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if h.ndim != 2:
+        raise ValueError("features must be a (N, d) array")
+    if y.shape != (h.shape[0],):
+        raise ValueError("labels must be a (N,) array matching features")
+    return h, y
+
+
+def naive_local_prototypes(features, labels) -> DictPrototypeSet:
+    """Per-class arithmetic mean of the feature rows; support = class count.
+    One client, one class at a time: the oracle of the padded
+    prototypes.local_prototypes."""
+    h, y = _as_features(features, labels)
+    if h.shape[0] == 0:
+        raise ValueError("cannot build prototypes from an empty feature set")
+    entries = {}
+    for k in np.unique(y):
+        rows = h[y == k]
+        entries[int(k)] = Prototype(rows.mean(axis=0), rows.shape[0])
+    return DictPrototypeSet(entries)
+
+
+def _check_batch(rows, labels) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(rows, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if a.ndim != 2 or a.shape[0] == 0:
+        raise ValueError("expected a nonempty (B, n) array")
+    if y.shape != (a.shape[0],):
+        raise ValueError("labels must match the batch size")
+    return a, y
+
+
+def _cosine_matrix(h: np.ndarray, protos: np.ndarray):
+    """Pairwise cosine similarities with the norm floor; returns the raw
+    (unclamped) matrix plus the floored norms needed for the Jacobian."""
+    nh = np.maximum(np.linalg.norm(h, axis=1), EPS_NORM)
+    ng = np.maximum(np.linalg.norm(protos, axis=1), EPS_NORM)
+    sims = (h @ protos.T) / (nh[:, None] * ng[None, :])
+    return sims, nh, ng
+
+
+def naive_gpcl_loss(
+    features, labels, generalized: DictPrototypeSet, tau: float
+) -> tuple[float, np.ndarray]:
+    """GPCL of one client's batch against a DictPrototypeSet, one sample's
+    positive at a time: the oracle of the stacked dense losses.gpcl_loss."""
+    h, y = _check_batch(features, labels)
+    if tau <= 0:
+        raise ValueError("tau must be > 0")
+    if len(generalized) == 0:
+        raise ValueError("generalized prototype set is empty")
+    classes = generalized.classes()
+    pos_index = {k: i for i, k in enumerate(classes)}
+    missing = sorted({int(v) for v in y} - set(classes))
+    if missing:
+        raise ValueError(f"labels {missing} have no generalized prototype")
+
+    protos = np.stack([generalized.vector(k) for k in classes])
+    sims_raw, nh, ng = _cosine_matrix(h, protos)
+    sims = np.clip(sims_raw, -1.0, 1.0)
+
+    b = h.shape[0]
+    pos = np.array([pos_index[int(v)] for v in y])
+    z = sims / tau
+    shifted = z - z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    loss = float(np.mean(lse - shifted[np.arange(b), pos]))
+
+    softmax = np.exp(shifted - lse[:, None])
+    dsim = softmax.copy()
+    dsim[np.arange(b), pos] -= 1.0
+    dsim /= b * tau
+    dsim[np.abs(sims_raw) > 1.0] = 0.0  # clamp region: flat
+
+    # d s_ik / d h_i = p_k / (|h| |p_k|) - s_ik * h_i / |h|^2 on the interior;
+    # when the norm floor binds, |h| is constant and the second term vanishes.
+    grad = (dsim / ng[None, :]) @ protos / nh[:, None]
+    interior = (np.linalg.norm(h, axis=1) >= EPS_NORM).astype(np.float64)
+    grad -= ((dsim * sims_raw).sum(axis=1) * interior / nh**2)[:, None] * h
+    return loss, grad
+
+
+def naive_apa_loss(
+    features, labels, p_tilde: DictPrototypeSet, class_mean: bool = False
+) -> tuple[float, np.ndarray]:
+    """APA of one client's batch against a DictPrototypeSet, one class or
+    sample at a time: the oracle of the stacked dense losses.apa_loss."""
+    h, y = _check_batch(features, labels)
+    b, d = h.shape
+    grad = np.zeros_like(h)
+
+    if class_mean:
+        loss = 0.0
+        for k in np.unique(y):
+            if int(k) not in p_tilde:
+                continue
+            mask = y == k
+            mean_k = h[mask].mean(axis=0)
+            diff = mean_k - p_tilde.vector(int(k))
+            loss += float(np.dot(diff, diff))
+            grad[mask] = 2.0 * diff / mask.sum()
+        return loss, grad
+
+    counted = np.array([int(v) in p_tilde for v in y])
+    if not counted.any():
+        return 0.0, grad
+    targets = np.stack([p_tilde.vector(int(v)) if c else np.zeros(d) for v, c in zip(y, counted)])
+    diff = (h - targets) * counted[:, None]
+    loss = float((diff * diff).sum() / b)
+    grad = 2.0 * diff / b
+    return loss, grad
+
+
 def finite_diff_grad(loss_fn, point: np.ndarray, step: float) -> np.ndarray:
     """Central differences (f(x+he) - f(x-he)) / 2h, coordinate by coordinate."""
     if step <= 0:
@@ -144,7 +314,7 @@ def total_objective(
     loss, _ = cross_entropy(trace.logits_2d, y)
     h = trace.acts[-1]
     if generalized is not None:
-        loss += gpcl_loss(h, y, generalized, tau)[0]
+        loss += gpcl_loss(h, y, gpcl_targets(generalized), tau)[0]
     if p_tilde is not None:
         loss += apa_loss(h, y, p_tilde)[0]
     return loss
@@ -163,7 +333,7 @@ def analytic_total_grads(
     _, d_logits = cross_entropy(trace.logits_2d, y)
     d_features = np.zeros_like(h)
     if generalized is not None:
-        d_features += gpcl_loss(h, y, generalized, tau)[1]
+        d_features += gpcl_loss(h, y, gpcl_targets(generalized), tau)[1]
     if p_tilde is not None:
         d_features += apa_loss(h, y, p_tilde)[1]
     return backward(params, trace, d_logits, d_features)

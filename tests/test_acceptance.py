@@ -14,20 +14,16 @@ import pytest
 from protofed.cli import main
 from protofed.config import ExperimentConfig
 from protofed.federation import run_experiment
-from protofed.losses import apa_loss, cross_entropy, gpcl_loss
+from protofed.losses import apa_loss, cross_entropy, gpcl_loss, gpcl_targets
 from protofed.model import ModelParams, forward, init_params, params_from_layers
 from protofed.numerics import Rng, sample_beta
-from protofed.prototypes import (
-    Prototype,
-    PrototypeSet,
-    average_prototypes,
-    ema_update,
-    reweight,
-)
+from protofed.prototypes import PrototypeSet, average_prototypes, ema_update, reweight
 
 from conftest import SKEWED_VARIANT
 from oracles import (
+    DictPrototypeSet,
     OracleReport,
+    Prototype,
     analytic_total_grads,
     dump_repro,
     finite_diff_grad,
@@ -54,7 +50,7 @@ def random_client_sets(rng, n_clients, n_classes, dim):
                 entries[k] = Prototype(rng.normal(size=dim), int(rng.integers(1, 9)))
         if not entries:
             entries[int(rng.integers(n_classes))] = Prototype(rng.normal(size=dim), 1)
-        sets.append(PrototypeSet(entries))
+        sets.append(DictPrototypeSet(entries).to_dense(n_classes))
     return sets
 
 
@@ -70,7 +66,7 @@ def test_criterion_1_reweight_matches_naive_oracle(tmp_path):
         got, rep = reweight(sets, average_prototypes(sets))
         naive = naive_reweight(sets)
         for cls, vec in naive.items():
-            dev = float(np.max(np.abs(got.vector(cls) - np.asarray(vec))))
+            dev = float(np.max(np.abs(got.vectors[cls] - np.asarray(vec))))
             if dev > 1e-12:
                 path = tmp_path / f"reweight_repro_{case}.json"
                 dump_repro(
@@ -79,7 +75,7 @@ def test_criterion_1_reweight_matches_naive_oracle(tmp_path):
                         "case": case,
                         "client_sets": [cs.to_json_dict() for cs in sets],
                         "class": cls,
-                        "got": got.vector(cls),
+                        "got": got.vectors[cls],
                         "naive": vec,
                     },
                 )
@@ -89,10 +85,10 @@ def test_criterion_1_reweight_matches_naive_oracle(tmp_path):
             max_rel = max(max_rel, dev / scale)
         for cls, info in rep.per_class.items():
             assert abs(info.weights.sum() - 1.0) < 1e-9
-            stack = np.stack([sets[i].vector(cls) for i in info.clients])
+            stack = np.stack([sets[i].vectors[cls] for i in info.clients])
             assert np.all(info.weights >= 0)
-            assert np.all(got.vector(cls) >= stack.min(axis=0) - 1e-9)
-            assert np.all(got.vector(cls) <= stack.max(axis=0) + 1e-9)
+            assert np.all(got.vectors[cls] >= stack.min(axis=0) - 1e-9)
+            assert np.all(got.vectors[cls] <= stack.max(axis=0) + 1e-9)
     elapsed = time.time() - start
     agreement = OracleReport(max_abs, max_rel, 1000)
     report(
@@ -115,26 +111,21 @@ def test_criterion_2_equivariance_suite():
 
         c = rng.normal(size=d)
         shifted = [
-            PrototypeSet({kk: Prototype(p.vector + c, p.support) for kk, p in s.entries.items()})
+            PrototypeSet(np.where(s.present[:, None], s.vectors + c, 0.0), s.support)
             for s in sets
         ]
         moved, moved_rep = reweight(shifted, average_prototypes(shifted))
-        for kk in base.classes():
-            assert np.allclose(moved.vector(kk), base.vector(kk) + c, atol=1e-9)
+        for kk in np.flatnonzero(base.present):
+            assert np.allclose(moved.vectors[kk], base.vectors[kk] + c, atol=1e-9)
             assert np.allclose(
                 moved_rep.per_class[kk].weights, base_rep.per_class[kk].weights, atol=1e-9
             )
 
         s_pos = float(rng.uniform(0.2, 5.0))
-        scaled = [
-            PrototypeSet(
-                {kk: Prototype(p.vector * s_pos, p.support) for kk, p in s.entries.items()}
-            )
-            for s in sets
-        ]
+        scaled = [PrototypeSet(s.vectors * s_pos, s.support) for s in sets]
         big, big_rep = reweight(scaled, average_prototypes(scaled))
-        for kk in base.classes():
-            assert np.allclose(big.vector(kk), base.vector(kk) * s_pos, atol=1e-9)
+        for kk in np.flatnonzero(base.present):
+            assert np.allclose(big.vectors[kk], base.vectors[kk] * s_pos, atol=1e-9)
             assert np.allclose(
                 big_rep.per_class[kk].weights, base_rep.per_class[kk].weights, atol=1e-9
             )
@@ -144,9 +135,9 @@ def test_criterion_2_equivariance_suite():
         back, _ = reweight(permuted, average_prototypes(permuted))
         avg_a = average_prototypes(sets)
         avg_b = average_prototypes(permuted)
-        for kk in base.classes():
-            assert np.allclose(back.vector(kk), base.vector(kk), atol=1e-9)
-            assert np.allclose(avg_a.vector(kk), avg_b.vector(kk), atol=1e-9)
+        for kk in np.flatnonzero(base.present):
+            assert np.allclose(back.vectors[kk], base.vectors[kk], atol=1e-9)
+            assert np.allclose(avg_a.vectors[kk], avg_b.vectors[kk], atol=1e-9)
     report(2, "equivariance suite", True, "200 trials each, tol 1e-9")
 
 
@@ -154,7 +145,9 @@ def _loss_instance(rng, batch=6, dim=5, k=4):
     h = rng.normal(size=(batch, dim))
     h += np.sign(h.sum(axis=1, keepdims=True)) * 1e-2
     y = rng.integers(0, k, batch)
-    protos = PrototypeSet({c: Prototype(rng.normal(size=dim), 1) for c in range(k)})
+    protos = DictPrototypeSet(
+        {c: Prototype(rng.normal(size=dim), 1) for c in range(k)}
+    ).to_dense()
     return h, y, protos
 
 
@@ -171,10 +164,12 @@ def _model_instance(seed):
         h = forward(params, x).acts[-1]
         if np.linalg.norm(h, axis=1).min() > 1e-2:
             d = params.feature_dim
-            generalized = PrototypeSet(
+            generalized = DictPrototypeSet(
                 {c: Prototype(rng.normal(size=d), 1) for c in range(2)}
-            )
-            p_tilde = PrototypeSet({c: Prototype(rng.normal(size=d), 1) for c in range(2)})
+            ).to_dense()
+            p_tilde = DictPrototypeSet(
+                {c: Prototype(rng.normal(size=d), 1) for c in range(2)}
+            ).to_dense()
             return params, x, y, generalized, p_tilde
     raise AssertionError("could not build a non-degenerate model instance")
 
@@ -194,6 +189,7 @@ def test_criterion_3_gradient_suite():
     rng = np.random.default_rng(6)
     for _ in range(100):
         h, y, protos = _loss_instance(rng)
+        protos = gpcl_targets(protos)
         _, grad = gpcl_loss(h, y, protos, 0.2)
         numeric = finite_diff_grad(lambda hh: gpcl_loss(hh, y, protos, 0.2)[0], h.copy(), 1e-5)
         worst["gpcl"] = max(worst["gpcl"], rel_error(grad, numeric))
@@ -232,17 +228,19 @@ def test_criterion_3_gradient_suite():
 
 def test_criterion_4_closed_form_loss_anchors():
     h = np.array([[1.5, -2.0], [0.3, 0.9]])
-    single = PrototypeSet({0: Prototype(np.array([1.0, 1.0]), 1)})
+    single = DictPrototypeSet({0: Prototype(np.array([1.0, 1.0]), 1)}).to_dense()
+    single = gpcl_targets(single)
     loss, grad = gpcl_loss(h, [0, 0], single, 0.07)
     ok = loss == 0.0 and np.all(grad == 0.0)
 
-    protos = PrototypeSet(
+    protos = DictPrototypeSet(
         {0: Prototype(np.array([2.0, 0.0]), 1), 1: Prototype(np.array([0.0, 3.0]), 1)}
-    )
+    ).to_dense()
+    protos = gpcl_targets(protos)
     loss_b1, _ = gpcl_loss(np.array([[5.0, 0.0]]), [0], protos, 1.0)
     ok = ok and abs(loss_b1 - math.log(1 + math.exp(-1))) < 1e-9
 
-    pt = PrototypeSet({0: Prototype(np.array([1.0, 2.0]), 1)})
+    pt = DictPrototypeSet({0: Prototype(np.array([1.0, 2.0]), 1)}).to_dense()
     apa, apa_grad = apa_loss(np.array([[1.0, 2.0]]), [0], pt)
     ok = ok and apa == 0.0 and np.all(apa_grad == 0.0)
     report(4, "closed-form loss anchors", ok, f"B=1 case {loss_b1:.9f}")
@@ -250,20 +248,21 @@ def test_criterion_4_closed_form_loss_anchors():
 
 def test_criterion_5_ema_algebra():
     rng = np.random.default_rng(11)
-    new = PrototypeSet({k: Prototype(rng.normal(size=6), 1) for k in range(3)})
-    prev = PrototypeSet({k: Prototype(rng.normal(size=6), 1) for k in range(3)})
+    new = DictPrototypeSet({k: Prototype(rng.normal(size=6), 1) for k in range(3)})
+    prev = DictPrototypeSet({k: Prototype(rng.normal(size=6), 1) for k in range(3)})
+    new, prev = new.to_dense(), prev.to_dense()
 
     ok = True
     at_one = ema_update(new, prev, 1.0)
     at_zero = ema_update(new, prev, 0.0)
     for k in range(3):
-        ok = ok and np.array_equal(at_one.vector(k), new.vector(k))
-        ok = ok and np.array_equal(at_zero.vector(k), prev.vector(k))
+        ok = ok and np.array_equal(at_one.vectors[k], new.vectors[k])
+        ok = ok and np.array_equal(at_zero.vectors[k], prev.vectors[k])
 
     blended = ema_update(new, prev, 0.99)
     for k in range(3):
-        expected = 0.99 * new.vector(k) + 0.01 * prev.vector(k)
-        ok = ok and np.max(np.abs(blended.vector(k) - expected)) < 1e-12
+        expected = 0.99 * new.vectors[k] + 0.01 * prev.vectors[k]
+        ok = ok and np.max(np.abs(blended.vectors[k] - expected)) < 1e-12
     report(5, "EMA algebra", ok)
 
 

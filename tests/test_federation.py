@@ -63,9 +63,9 @@ class TestLocalUpdate:
         result = solo_update(client, params, None, cfg)
         assert np.array_equal(result.params.flat, params.flat)
         h = forward(params, client.data.x).acts[-1]
-        for k in result.prototypes.classes():
+        for k in np.flatnonzero(result.prototypes.present):
             expected = h[client.data.labels == k].mean(axis=0)
-            assert np.allclose(result.prototypes.vector(k), expected, atol=1e-12)
+            assert np.allclose(result.prototypes.vectors[k], expected, atol=1e-12)
         assert result.losses.gpcl == 0.0 and result.losses.apa == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -82,8 +82,8 @@ class TestLocalUpdate:
         a = solo_update(toy_client(3), toy_params(3), None, cfg)
         b = solo_update(toy_client(3), toy_params(3), None, cfg)
         assert np.array_equal(a.params.flat, b.params.flat)
-        for k in a.prototypes.classes():
-            assert np.array_equal(a.prototypes.vector(k), b.prototypes.vector(k))
+        for k in np.flatnonzero(a.prototypes.present):
+            assert np.array_equal(a.prototypes.vectors[k], b.prototypes.vectors[k])
         assert a.losses == b.losses
 
     def test_batch_size_clamped(self):
@@ -181,9 +181,9 @@ class TestRunRound:
         clients2, _, _ = build_problem(cfg)
         new_server, report = run_round(server, clients2, test_sets, cfg)
         assert np.array_equal(new_server.global_params.flat, local.params.flat)
-        for k in local.prototypes.classes():
+        for k in np.flatnonzero(local.prototypes.present):
             assert np.array_equal(
-                new_server.generalized.vector(k), local.prototypes.vector(k)
+                new_server.generalized.vectors[k], local.prototypes.vectors[k]
             )
         assert new_server.round == 1 and report.round == 0
 
@@ -191,9 +191,9 @@ class TestRunRound:
         cfg = replace(TINY, rounds=3)
         rw = run_experiment(replace(cfg, aggregator_mode="reweight", ema_enabled=False))
         av = run_experiment(replace(cfg, aggregator_mode="average"))
-        k = rw.final_generalized.classes()[0]
+        k = np.flatnonzero(rw.final_generalized.present)[0]
         assert not np.allclose(
-            rw.final_generalized.vector(k), av.final_generalized.vector(k), atol=1e-12
+            rw.final_generalized.vectors[k], av.final_generalized.vectors[k], atol=1e-12
         )
 
     def test_collection_order_invariance(self):
@@ -331,18 +331,19 @@ def _seed_prototypes(clients, params):
     """Generalized prototypes from the initial model, so GPCL is active."""
     from protofed.prototypes import average_prototypes, local_prototypes
 
+    k = params.num_classes
     return average_prototypes(
-        [local_prototypes(forward(params, c.data.x).acts[-1], c.data.labels) for c in clients]
+        [local_prototypes(forward(params, c.data.x).acts[-1], c.data.labels, k) for c in clients]
     )
 
 
 def _assert_same_result(a, b):
     assert a.params.shapes == b.params.shapes
     assert np.array_equal(a.params.flat, b.params.flat)
-    assert a.prototypes.classes() == b.prototypes.classes()
-    for k in a.prototypes.classes():
-        assert np.array_equal(a.prototypes.vector(k), b.prototypes.vector(k))
-        assert a.prototypes.support(k) == b.prototypes.support(k)
+    assert np.array_equal(a.prototypes.present, b.prototypes.present)
+    for k in np.flatnonzero(a.prototypes.present):
+        assert np.array_equal(a.prototypes.vectors[k], b.prototypes.vectors[k])
+        assert a.prototypes.support[k] == b.prototypes.support[k]
     assert a.losses == b.losses
 
 

@@ -3,16 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from protofed.losses import LossBreakdown, apa_loss, cross_entropy, gpcl_loss, total_loss
-from protofed.prototypes import Prototype, PrototypeSet
+from protofed.losses import (
+    LossBreakdown,
+    apa_loss,
+    cross_entropy,
+    gpcl_loss,
+    gpcl_targets,
+    total_loss,
+)
+from protofed.prototypes import PrototypeSet
 
-from oracles import cosine_similarity, finite_diff_grad, rel_error
+from oracles import (
+    DictPrototypeSet,
+    Prototype,
+    cosine_similarity,
+    finite_diff_grad,
+    rel_error,
+)
 
 
-def proto_set(vectors: dict) -> PrototypeSet:
-    return PrototypeSet(
+def proto_set(vectors: dict, num_classes=None) -> PrototypeSet:
+    return DictPrototypeSet(
         {k: Prototype(np.asarray(v, dtype=np.float64), 1) for k, v in vectors.items()}
-    )
+    ).to_dense(num_classes)
+
+
+def gpcl(h, y, protos: PrototypeSet, tau):
+    """GPCL of one batch against a dense generalized set."""
+    return gpcl_loss(h, y, gpcl_targets(protos), tau)
 
 
 def random_instance(seed, batch=6, dim=5, k=4, min_norm=1e-2):
@@ -71,7 +89,8 @@ class TestGpclLoss:
         h = rng.normal(size=(5, 3))
         h[0] = 0.0  # norm floor
         protos = rng.normal(size=(4, 3))
-        sims, _, _ = _cosine_matrix(h, protos)
+        targets = gpcl_targets(PrototypeSet(protos, np.ones(4, dtype=np.int64)))
+        sims, _, _ = _cosine_matrix(h, targets.protos, targets.norms)
         for i in range(5):
             for k in range(4):
                 expected = cosine_similarity(h[i], protos[k])
@@ -79,57 +98,57 @@ class TestGpclLoss:
 
     def test_single_class_zero(self):
         h = np.array([[1.0, 2.0], [3.0, -1.0]])
-        loss, grad = gpcl_loss(h, [0, 0], proto_set({0: [1.0, 0.0]}), 0.07)
+        loss, grad = gpcl(h, [0, 0], proto_set({0: [1.0, 0.0]}), 0.07)
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_orthogonal_closed_form(self):
         protos = proto_set({0: [2.0, 0.0], 1: [0.0, 3.0]})
-        loss, _ = gpcl_loss(np.array([[5.0, 0.0]]), [0], protos, 1.0)
+        loss, _ = gpcl(np.array([[5.0, 0.0]]), [0], protos, 1.0)
         assert loss == pytest.approx(math.log(1 + math.exp(-1)), abs=1e-9)
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            gpcl_loss(np.ones((1, 2)), [1], proto_set({0: [1.0, 0.0]}), 0.07)
+            gpcl(np.ones((1, 2)), [1], proto_set({0: [1.0, 0.0]}), 0.07)
 
     def test_empty_prototypes_rejected(self):
         with pytest.raises(ValueError):
-            gpcl_loss(np.ones((1, 2)), [0], PrototypeSet({}), 0.07)
+            gpcl(np.ones((1, 2)), [0], PrototypeSet(np.zeros((1, 2)), np.zeros(1, int)), 0.07)
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):
-            gpcl_loss(np.ones((1, 2)), [0], proto_set({0: [1.0, 0.0]}), 0.0)
+            gpcl(np.ones((1, 2)), [0], proto_set({0: [1.0, 0.0]}), 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_finite_differences(self, seed):
         h, y, protos = random_instance(seed)
-        _, grad = gpcl_loss(h, y, protos, 0.2)
+        _, grad = gpcl(h, y, protos, 0.2)
         numeric = finite_diff_grad(
-            lambda hh: gpcl_loss(hh, y, protos, 0.2)[0], h.copy(), 1e-5
+            lambda hh: gpcl(hh, y, protos, 0.2)[0], h.copy(), 1e-5
         )
         assert rel_error(grad, numeric) < 1e-4
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
     def test_feature_scale_invariance(self, scale):
         h, y, protos = random_instance(3)
-        base, _ = gpcl_loss(h, y, protos, 0.1)
+        base, _ = gpcl(h, y, protos, 0.1)
         scaled = h.copy()
         scaled[2] *= scale
-        after, _ = gpcl_loss(scaled, y, protos, 0.1)
+        after, _ = gpcl(scaled, y, protos, 0.1)
         assert abs(after - base) < 1e-9
 
     def test_one_step_descent(self):
         h, y, protos = random_instance(4)
-        loss, grad = gpcl_loss(h, y, protos, 0.2)
-        stepped, _ = gpcl_loss(h - 1e-3 * grad, y, protos, 0.2)
+        loss, grad = gpcl(h, y, protos, 0.2)
+        stepped, _ = gpcl(h - 1e-3 * grad, y, protos, 0.2)
         assert stepped < loss
 
     def test_pull_toward_positive_reduces_loss(self):
         protos = proto_set({0: [1.0, 0.0], 1: [0.0, 1.0]})
         far = np.array([[0.1, 0.9]])
         near = np.array([[0.9, 0.1]])
-        far_loss, _ = gpcl_loss(far, [0], protos, 0.5)
-        near_loss, _ = gpcl_loss(near, [0], protos, 0.5)
+        far_loss, _ = gpcl(far, [0], protos, 0.5)
+        near_loss, _ = gpcl(near, [0], protos, 0.5)
         assert near_loss < far_loss
 
 
@@ -147,7 +166,7 @@ class TestApaLoss:
         assert np.allclose(grad, [[2.0, 0.0]], atol=0)
 
     def test_missing_class_contributes_zero(self):
-        protos = proto_set({0: [0.0, 0.0]})
+        protos = proto_set({0: [0.0, 0.0]}, num_classes=2)
         h = np.array([[1.0, 0.0], [5.0, 5.0]])
         loss, grad = apa_loss(h, [0, 1], protos)
         assert loss == pytest.approx(0.5, abs=1e-15)  # only sample 0 counted, /B=2

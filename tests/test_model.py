@@ -16,9 +16,10 @@ from protofed.model import (
     sgd_step,
 )
 from protofed.numerics import Rng
-from protofed.prototypes import Prototype, PrototypeSet
 
 from oracles import (
+    DictPrototypeSet,
+    Prototype,
     analytic_total_grads,
     finite_diff_grad,
     rel_error,
@@ -128,8 +129,9 @@ def _fixture_losses(seed=0, batch=5, arch=(4, 2, 3), k=2):
     h = forward(params, x).acts[-1]
     assert np.linalg.norm(h, axis=1).min() > 1e-3, "degenerate fixture"
     d = params.feature_dim
-    generalized = PrototypeSet({c: Prototype(rng.normal(size=d), 2) for c in range(k)})
-    p_tilde = PrototypeSet({c: Prototype(rng.normal(size=d), 2) for c in range(k)})
+    generalized = DictPrototypeSet({c: Prototype(rng.normal(size=d), 2) for c in range(k)})
+    p_tilde = DictPrototypeSet({c: Prototype(rng.normal(size=d), 2) for c in range(k)})
+    generalized, p_tilde = generalized.to_dense(), p_tilde.to_dense()
     return params, x, y, generalized, p_tilde
 
 

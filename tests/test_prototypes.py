@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from protofed.numerics import Rng, sample_beta
 from protofed.prototypes import (
-    Prototype,
     PrototypeSet,
     average_prototypes,
     ema_update,
@@ -18,13 +17,13 @@ from protofed.prototypes import (
     save_prototypes_json,
 )
 
-from oracles import naive_reweight
+from oracles import DictPrototypeSet, Prototype, naive_reweight
 
 
 def pset(d: dict) -> PrototypeSet:
-    return PrototypeSet(
+    return DictPrototypeSet(
         {k: Prototype(np.asarray(v, dtype=np.float64), 1) for k, v in d.items()}
-    )
+    ).to_dense()
 
 
 def random_client_sets(rng, n_clients, n_classes, dim, p_present=0.85):
@@ -36,43 +35,43 @@ def random_client_sets(rng, n_clients, n_classes, dim, p_present=0.85):
                 entries[k] = Prototype(rng.normal(size=dim), int(rng.integers(1, 9)))
         if not entries:
             entries[0] = Prototype(rng.normal(size=dim), 1)
-        sets.append(PrototypeSet(entries))
+        sets.append(DictPrototypeSet(entries).to_dense(n_classes))
     return sets
 
 
 class TestLocalPrototypes:
     def test_single_sample(self):
         h = np.array([[2.0, -1.0]])
-        out = local_prototypes(h, [3])
-        assert np.array_equal(out.vector(3), h[0])
-        assert out.support(3) == 1
+        out = local_prototypes(h, [3], 4)
+        assert np.array_equal(out.vectors[3], h[0])
+        assert out.support[3] == 1
 
     def test_mean_of_two(self):
-        out = local_prototypes(np.array([[0.0, 0.0], [2.0, 2.0]]), [0, 0])
-        assert np.array_equal(out.vector(0), [1.0, 1.0])
-        assert out.support(0) == 2
+        out = local_prototypes(np.array([[0.0, 0.0], [2.0, 2.0]]), [0, 0], 1)
+        assert np.array_equal(out.vectors[0], [1.0, 1.0])
+        assert out.support[0] == 2
 
     def test_group_by_mean_oracle(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(50, 6))
         y = rng.integers(0, 3, 50)
-        out = local_prototypes(h, y)
+        out = local_prototypes(h, y, 3)
         for k in range(3):
             rows = [h[i] for i in range(50) if y[i] == k]
             naive = [sum(r[j] for r in rows) / len(rows) for j in range(6)]
-            assert np.allclose(out.vector(k), naive, atol=1e-12)
-            assert out.support(k) == len(rows)
+            assert np.allclose(out.vectors[k], naive, atol=1e-12)
+            assert out.support[k] == len(rows)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            local_prototypes(np.zeros((0, 3)), [])
+            local_prototypes(np.zeros((0, 3)), [], 2)
 
 
 def mixed_prototypes(h, y, rng, alpha):
     """The federation's feature-mixup path: draw pairs, mix rows, group by
     each sample's original label."""
     gammas, partners = mixup_pairs(y, rng, alpha)
-    return local_prototypes(mix_rows(h, gammas, partners), y)
+    return local_prototypes(mix_rows(h, gammas, partners), y, int(np.max(y)) + 1)
 
 
 class TestMixupFeature:
@@ -105,18 +104,18 @@ class TestAugmentedPrototypes:
         h = np.random.default_rng(1).normal(size=(6, 4))
         y = np.zeros(6, dtype=int)
         out = mixed_prototypes(h, y, Rng(0, 0), 0.4)
-        ref = local_prototypes(h, y)
-        assert np.array_equal(out.vector(0), ref.vector(0))
+        ref = local_prototypes(h, y, 1)
+        assert np.array_equal(out.vectors[0], ref.vectors[0])
 
     def test_gamma_forced_one_equals_local(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(10, 4))
         y = rng.integers(0, 3, 10)
         _, partners = mixup_pairs(y, Rng(0, 0), 0.4)
-        out = local_prototypes(mix_rows(h, np.ones(10), partners), y)
-        ref = local_prototypes(h, y)
-        for k in ref.classes():
-            assert np.allclose(out.vector(k), ref.vector(k), atol=0)
+        out = local_prototypes(mix_rows(h, np.ones(10), partners), y, 3)
+        ref = local_prototypes(h, y, 3)
+        for k in np.flatnonzero(ref.present):
+            assert np.allclose(out.vectors[k], ref.vectors[k], atol=0)
 
     def test_matches_draw_replay_oracle(self):
         # replay the documented per-sample draw sequence: gamma, then partner
@@ -135,7 +134,7 @@ class TestAugmentedPrototypes:
         mixed = np.array(mixed)
         for k in (0, 1):
             naive = mixed[y == k].mean(axis=0)
-            assert np.allclose(out.vector(k), naive, atol=1e-12)
+            assert np.allclose(out.vectors[k], naive, atol=1e-12)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -147,44 +146,44 @@ class TestInitialMeanAndAverage:
         cs = pset({0: [1.0, 2.0], 1: [3.0, 4.0]})
         out = average_prototypes([cs])
         for k in (0, 1):
-            assert np.array_equal(out.vector(k), cs.vector(k))
+            assert np.array_equal(out.vectors[k], cs.vectors[k])
 
     def test_two_client_mean(self):
         out = average_prototypes([pset({0: [0.0, 0.0]}), pset({0: [2.0, 0.0]})])
-        assert np.array_equal(out.vector(0), [1.0, 0.0])
-        assert out.support(0) == 2
+        assert np.array_equal(out.vectors[0], [1.0, 0.0])
+        assert out.support[0] == 2
 
     def test_missing_class_skipped(self):
         rng = np.random.default_rng(4)
         sets = [pset({k: rng.normal(size=3) for k in range(3)}) for _ in range(4)]
-        del sets[1].entries[2]
+        sets[1].vectors[2], sets[1].support[2] = 0.0, 0
         out = average_prototypes(sets)
-        contributing = [s.vector(2) for s in sets if 2 in s]
+        contributing = [s.vectors[2] for s in sets if s.present[2]]
         assert len(contributing) == 3
-        assert np.allclose(out.vector(2), np.mean(contributing, axis=0), atol=1e-12)
-        assert out.support(2) == 3
+        assert np.allclose(out.vectors[2], np.mean(contributing, axis=0), atol=1e-12)
+        assert out.support[2] == 3
 
     def test_average_separates_from_reweight(self):
         sets = [pset({0: [0.0, 0.0]}), pset({0: [0.0, 0.0]}), pset({0: [3.0, 0.0]})]
         avg = average_prototypes(sets)
         rw, _ = reweight(sets, average_prototypes(sets))
-        assert np.allclose(avg.vector(0), [1.0, 0.0], atol=1e-12)
-        assert np.allclose(rw.vector(0), [2.0, 0.0], atol=1e-12)
+        assert np.allclose(avg.vectors[0], [1.0, 0.0], atol=1e-12)
+        assert np.allclose(rw.vectors[0], [2.0, 0.0], atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         sets = random_client_sets(rng, 6, 3, 4)
         a = average_prototypes(sets)
         b = average_prototypes(sets[::-1])
-        for k in a.classes():
-            assert np.allclose(a.vector(k), b.vector(k), atol=1e-12)
+        for k in np.flatnonzero(a.present):
+            assert np.allclose(a.vectors[k], b.vectors[k], atol=1e-12)
 
 
 class TestReweight:
     def test_symmetric_two_clients(self):
         sets = [pset({0: [0.0, 0.0]}), pset({0: [2.0, 0.0]})]
         out, report = reweight(sets, average_prototypes(sets))
-        assert np.allclose(out.vector(0), [1.0, 0.0], atol=1e-12)
+        assert np.allclose(out.vectors[0], [1.0, 0.0], atol=1e-12)
         assert np.allclose(report.per_class[0].weights, [0.5, 0.5], atol=1e-12)
         assert not report.per_class[0].fallback
 
@@ -193,12 +192,12 @@ class TestReweight:
         out, report = reweight(sets, average_prototypes(sets))
         assert np.allclose(report.per_class[0].distances, [1.0, 1.0, 4.0], atol=1e-12)
         assert np.allclose(report.per_class[0].weights, [1 / 6, 1 / 6, 4 / 6], atol=1e-12)
-        assert np.allclose(out.vector(0), [2.0, 0.0], atol=1e-12)
+        assert np.allclose(out.vectors[0], [2.0, 0.0], atol=1e-12)
 
     def test_single_client_fallback(self):
         sets = [pset({0: [5.0, -1.0]})]
         out, report = reweight(sets, average_prototypes(sets))
-        assert np.array_equal(out.vector(0), [5.0, -1.0])
+        assert np.array_equal(out.vectors[0], [5.0, -1.0])
         assert report.per_class[0].fallback
 
     def test_identical_prototypes_uniform(self):
@@ -206,11 +205,11 @@ class TestReweight:
         out, report = reweight(sets, average_prototypes(sets))
         assert report.per_class[0].fallback
         assert np.allclose(report.per_class[0].weights, 0.25, atol=0)
-        assert np.allclose(out.vector(0), [1.0, 1.0], atol=1e-12)
+        assert np.allclose(out.vectors[0], [1.0, 1.0], atol=1e-12)
 
     def test_missing_mu_class_rejected(self):
         sets = [pset({0: [1.0, 0.0], 1: [0.0, 1.0]})]
-        bad_mu = pset({0: [1.0, 0.0]})
+        bad_mu = DictPrototypeSet({0: Prototype(np.array([1.0, 0.0]), 1)}).to_dense(2)
         with pytest.raises(ValueError):
             reweight(sets, bad_mu)
 
@@ -223,7 +222,7 @@ class TestReweight:
             got, _ = reweight(sets, average_prototypes(sets))
             naive = naive_reweight(sets)
             for k, vec in naive.items():
-                assert np.max(np.abs(got.vector(k) - np.asarray(vec))) < 1e-12
+                assert np.max(np.abs(got.vectors[k] - np.asarray(vec))) < 1e-12
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -235,22 +234,22 @@ class TestReweight:
             assert abs(info.weights.sum() - 1.0) < 1e-9
             assert np.all(info.weights >= 0)
             # convex hull membership via bounding box of contributors
-            stack = np.stack([sets[m].vector(k) for m in info.clients])
-            assert np.all(got.vector(k) >= stack.min(axis=0) - 1e-9)
-            assert np.all(got.vector(k) <= stack.max(axis=0) + 1e-9)
+            stack = np.stack([sets[m].vectors[k] for m in info.clients])
+            assert np.all(got.vectors[k] >= stack.min(axis=0) - 1e-9)
+            assert np.all(got.vectors[k] <= stack.max(axis=0) + 1e-9)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(8)
         sets = random_client_sets(rng, 5, 3, 4)
         c = rng.normal(size=4)
         shifted = [
-            PrototypeSet({k: Prototype(p.vector + c, p.support) for k, p in s.entries.items()})
+            PrototypeSet(np.where(s.present[:, None], s.vectors + c, 0.0), s.support)
             for s in sets
         ]
         base, base_rep = reweight(sets, average_prototypes(sets))
         moved, moved_rep = reweight(shifted, average_prototypes(shifted))
-        for k in base.classes():
-            assert np.allclose(moved.vector(k), base.vector(k) + c, atol=1e-9)
+        for k in np.flatnonzero(base.present):
+            assert np.allclose(moved.vectors[k], base.vectors[k] + c, atol=1e-9)
             assert np.allclose(
                 moved_rep.per_class[k].weights, base_rep.per_class[k].weights, atol=1e-9
             )
@@ -259,14 +258,11 @@ class TestReweight:
         rng = np.random.default_rng(9)
         sets = random_client_sets(rng, 5, 3, 4)
         s = 3.7
-        scaled = [
-            PrototypeSet({k: Prototype(p.vector * s, p.support) for k, p in st_.entries.items()})
-            for st_ in sets
-        ]
+        scaled = [PrototypeSet(st_.vectors * s, st_.support) for st_ in sets]
         base, base_rep = reweight(sets, average_prototypes(sets))
         big, big_rep = reweight(scaled, average_prototypes(scaled))
-        for k in base.classes():
-            assert np.allclose(big.vector(k), base.vector(k) * s, atol=1e-9)
+        for k in np.flatnonzero(base.present):
+            assert np.allclose(big.vectors[k], base.vectors[k] * s, atol=1e-9)
             assert np.allclose(
                 big_rep.per_class[k].weights, base_rep.per_class[k].weights, atol=1e-9
             )
@@ -276,31 +272,42 @@ class TestReweight:
         sets = random_client_sets(rng, 6, 3, 5)
         a, _ = reweight(sets, average_prototypes(sets))
         b, _ = reweight(sets[::-1], average_prototypes(sets[::-1]))
-        for k in a.classes():
-            assert np.allclose(a.vector(k), b.vector(k), atol=1e-12)
+        for k in np.flatnonzero(a.present):
+            assert np.allclose(a.vectors[k], b.vectors[k], atol=1e-12)
 
 
 class TestEmaUpdate:
     def test_beta_one_exact(self):
         new, prev = pset({0: [1.0, 0.0]}), pset({0: [5.0, 5.0]})
         out = ema_update(new, prev, 1.0)
-        assert np.array_equal(out.vector(0), [1.0, 0.0])
+        assert np.array_equal(out.vectors[0], [1.0, 0.0])
 
     def test_beta_zero_exact(self):
         new, prev = pset({0: [1.0, 0.0]}), pset({0: [5.0, 5.0]})
         out = ema_update(new, prev, 0.0)
-        assert np.array_equal(out.vector(0), [5.0, 5.0])
+        assert np.array_equal(out.vectors[0], [5.0, 5.0])
 
     def test_default_decay_step(self):
         out = ema_update(pset({0: [1.0, 0.0]}), pset({0: [0.0, 0.0]}), 0.99)
-        assert np.allclose(out.vector(0), [0.99, 0.0], atol=1e-12)
+        assert np.allclose(out.vectors[0], [0.99, 0.0], atol=1e-12)
 
     def test_missing_prev_class_passthrough(self):
         new = pset({0: [1.0, 1.0], 1: [2.0, 2.0]})
-        prev = pset({0: [0.0, 0.0]})
+        prev = DictPrototypeSet({0: Prototype(np.array([0.0, 0.0]), 1)}).to_dense(2)
         out = ema_update(new, prev, 0.5)
-        assert np.allclose(out.vector(0), [0.5, 0.5], atol=0)
-        assert np.array_equal(out.vector(1), [2.0, 2.0])
+        assert np.allclose(out.vectors[0], [0.5, 0.5], atol=0)
+        assert np.array_equal(out.vectors[1], [2.0, 2.0])
+
+    def test_class_missing_from_new_carried_forward(self):
+        # a class no client uploaded this round keeps its previous prototype
+        # (and support) instead of vanishing from the generalized set
+        new = DictPrototypeSet({0: Prototype(np.array([1.0, 1.0]), 4)}).to_dense(2)
+        prev = DictPrototypeSet(
+            {0: Prototype(np.array([0.0, 0.0]), 3), 1: Prototype(np.array([-2.0, 5.0]), 2)}
+        ).to_dense()
+        out = ema_update(new, prev, 0.5)
+        assert np.array_equal(out.vectors[0], [0.5, 0.5]) and out.support[0] == 4
+        assert np.array_equal(out.vectors[1], [-2.0, 5.0]) and out.support[1] == 2
 
     def test_absent_prev_identity(self):
         new = pset({0: [1.0, 1.0]})
@@ -315,7 +322,7 @@ class TestEmaUpdate:
     def test_affine_componentwise(self, beta, a, b):
         out = ema_update(pset({0: a}), pset({0: b}), beta)
         expected = beta * np.asarray(a) + (1 - beta) * np.asarray(b)
-        assert np.allclose(out.vector(0), expected, atol=1e-12)
+        assert np.allclose(out.vectors[0], expected, atol=1e-12)
 
     def test_beta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -325,24 +332,24 @@ class TestEmaUpdate:
 class TestSerialization:
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
-        original = PrototypeSet(
+        original = DictPrototypeSet(
             {k: Prototype(rng.normal(size=5), int(k + 1)) for k in range(4)}
-        )
+        ).to_dense()
         path = tmp_path / "protos.json"
         save_prototypes_json(original, path)
         back = json.loads(path.read_text(encoding="utf-8"))
-        assert list(back) == [str(k) for k in original.classes()]
-        for k in original.classes():
-            assert np.array_equal(back[str(k)]["vector"], original.vector(k))
-            assert back[str(k)]["support"] == original.support(k)
+        assert list(back) == [str(k) for k in np.flatnonzero(original.present)]
+        for k in np.flatnonzero(original.present):
+            assert np.array_equal(back[str(k)]["vector"], original.vectors[k])
+            assert back[str(k)]["support"] == original.support[k]
 
     def test_json_golden_bytes(self, tmp_path):
-        protos = PrototypeSet(
+        protos = DictPrototypeSet(
             {
                 10: Prototype(np.array([0.1, -2.0]), 3),
                 2: Prototype(np.array([1e-17, 5.0]), 1),
             }
-        )
+        ).to_dense()
         path = tmp_path / "prototypes.json"
         save_prototypes_json(protos, path)
         # keys sorted as strings ("10" < "2"), two-space indent, shortest
