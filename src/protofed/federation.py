@@ -177,8 +177,8 @@ def local_updates(
 ) -> list[LocalUpdateResult]:
     """Train the received global model on every client's data in lockstep
     (see the module docstring), then compute each client's local prototypes
-    over its full dataset with its final model, one stacked pass per block
-    of equal-size clients. Results come in client-id order.
+    over its full dataset with its final model, one client at a time.
+    Results come in client-id order.
 
     Per step, each group runs stacked: forward and CE; GPCL against the
     generalized prototypes (skipped while none exist yet; their matrix and
@@ -257,20 +257,16 @@ def local_updates(
             if failures:
                 raise FloatingPointError(min(failures)[1])
 
-    final = [ModelParams(current.flat[m], shapes) for m in range(num)]
-    results: list = [None] * num
-    for members in blocks.values():
-        # Full datasets, in data order: forward one client at a time (a
-        # stacked forward over whole datasets measured slower), then the
-        # block's class means in one stacked pass.
-        h = np.stack([forward(final[m], ordered[m].data.x).acts[-1] for m in members])
-        y = np.stack([ordered[m].data.labels for m in members])
-        protos = local_prototypes(h, y, cfg.num_classes)
-        for j, m in enumerate(members):
-            steps = cfg.epochs * per_epoch[m]
-            mean = total_loss(*(float(s[m] / steps) for s in (ce_sum, gpcl_sum, apa_sum)))
-            own = PrototypeSet(protos.vectors[j], protos.support[j])
-            results[m] = LocalUpdateResult(final[m], own, mean)
+    results = []
+    for m, c in enumerate(ordered):
+        # one client at a time: stacking every client's full dataset would
+        # hold M times the activations for a forward that runs once a round
+        params = ModelParams(current.flat[m], shapes)
+        h = forward(params, c.data.x).acts[-1]
+        protos = local_prototypes(h, c.data.labels, cfg.num_classes)
+        steps = cfg.epochs * per_epoch[m]
+        mean = total_loss(*(float(s[m] / steps) for s in (ce_sum, gpcl_sum, apa_sum)))
+        results.append(LocalUpdateResult(params, protos, mean))
     return results
 
 

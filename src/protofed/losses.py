@@ -1,12 +1,12 @@
 """The three client-side loss terms and their gradients.
 
-Every loss returns (scalar, per-sample gradient array) for one batch, and
-(per-batch array, gradient array) for a stack of batches with a leading
-client axis, each batch's part bitwise that of the batch alone. Prototype
-arguments are constants: no gradient flows into the generalized prototypes
-(server-supplied) or into the augmented prototypes (recomputed per batch and
-used as alignment targets). The total objective is the plain unweighted sum
-of the three terms.
+Every loss takes a stack of batches with a leading client axis, (G, B, ·),
+and returns (per-batch array, gradient array), each batch's part bitwise
+that of the batch alone; cross-entropy also takes a single (B, K) batch
+and then returns a float. Prototype arguments are constants: no gradient
+flows into the generalized prototypes (server-supplied) or into the
+augmented prototypes (recomputed per batch and used as alignment targets).
+The total objective is the plain unweighted sum of the three terms.
 """
 
 from __future__ import annotations
@@ -90,9 +90,10 @@ def gpcl_loss(features, labels, targets: GpclTargets, tau: float):
     Softmax over cosine similarities to every generalized prototype at
     temperature tau; the positive is the prototype of the sample's own class.
     Prototypes are constants; the gradient w.r.t. each feature goes through
-    the cosine-similarity Jacobian.
+    the cosine-similarity Jacobian. Takes (G, B, d) features with (G, B)
+    labels and returns the (G,) losses and the (G, B, d) gradient.
     """
-    h, y = check_batch(features, labels, targets.row_of.size)
+    h, y = check_batch(features, labels, targets.row_of.size, stacked=True)
     if tau <= 0:
         raise ValueError("tau must be > 0")
     pos = targets.row_of[y]
@@ -120,7 +121,7 @@ def gpcl_loss(features, labels, targets: GpclTargets, tau: float):
     grad = (dsim / ng) @ protos / nh[..., None]
     interior = (norms >= EPS_NORM).astype(np.float64)
     grad -= ((dsim * sims_raw).sum(axis=-1) * interior / nh**2)[..., None] * h
-    return (float(loss) if h.ndim == 2 else loss), grad
+    return loss, grad
 
 
 def apa_loss(features, labels, p_tilde: PrototypeSet, class_mean: bool = False):
@@ -129,13 +130,10 @@ def apa_loss(features, labels, p_tilde: PrototypeSet, class_mean: bool = False):
     Default reading: per-sample mean (1/B) sum_i |h_i - p~_{y_i}|^2, samples
     whose class has no augmented prototype contributing zero. The alternative
     class-mean reading (sum over classes of |mean_k(h) - p~_k|^2) is kept for
-    comparison behind the flag. A stack of batches takes a (G, K, d) set.
+    comparison behind the flag. Takes (G, B, d) features with (G, B) labels
+    and a (G, K, d) set; returns the (G,) losses and the (G, B, d) gradient.
     """
-    h, y = check_batch(features, labels, p_tilde.vectors.shape[-2])
-    if h.ndim == 2:  # one batch: a stack of one
-        stacked = PrototypeSet(p_tilde.vectors[None], p_tilde.support[None])
-        loss, grad = apa_loss(h[None], y[None], stacked, class_mean)
-        return float(loss[0]), grad[0]
+    h, y = check_batch(features, labels, p_tilde.vectors.shape[-2], stacked=True)
     vectors, present = p_tilde.vectors, p_tilde.present
     b = h.shape[-2]
     counted = np.take_along_axis(present, y, axis=-1)[..., None]

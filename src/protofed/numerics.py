@@ -77,13 +77,17 @@ def sq_l2_distance(u, v) -> float:
     return float(np.dot(diff, diff))
 
 
-def check_batch(rows, labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """A batch (B, n) or a stack of batches (G, B, n), with matching labels
-    in [0, num_classes)."""
+def check_batch(
+    rows, labels, num_classes: int, stacked: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """A batch (B, n) or a stack of batches (G, B, n), only the latter when
+    stacked, with matching labels in [0, num_classes)."""
     a = np.asarray(rows, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if a.ndim not in (2, 3) or a.shape[-2] == 0:
         raise ValueError("expected a nonempty (B, n) or (G, B, n) array")
+    if stacked and a.ndim != 3:
+        raise ValueError("expected a stack of batches (G, B, n)")
     if y.shape != a.shape[:-1]:
         raise ValueError("labels must match the batch size")
     if y.min() < 0 or y.max() >= num_classes:

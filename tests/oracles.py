@@ -85,6 +85,20 @@ def as_dict_set(pset: PrototypeSet) -> DictPrototypeSet:
     )
 
 
+def gpcl_one_batch(h, y, targets, tau: float) -> tuple[float, np.ndarray]:
+    """gpcl_loss of a single (B, d) batch, run as a stack of one."""
+    loss, grad = gpcl_loss(np.asarray(h)[None], np.asarray(y)[None], targets, tau)
+    return float(loss[0]), grad[0]
+
+
+def apa_one_batch(h, y, p_tilde: PrototypeSet, class_mean: bool = False):
+    """apa_loss of a single (B, d) batch against a (K, d) set, run as a
+    stack of one; returns (float loss, (B, d) gradient)."""
+    stacked = PrototypeSet(p_tilde.vectors[None], p_tilde.support[None])
+    loss, grad = apa_loss(np.asarray(h)[None], np.asarray(y)[None], stacked, class_mean)
+    return float(loss[0]), grad[0]
+
+
 @dataclass
 class OracleReport:
     max_abs_deviation: float
@@ -314,9 +328,9 @@ def total_objective(
     loss, _ = cross_entropy(trace.logits_2d, y)
     h = trace.acts[-1]
     if generalized is not None:
-        loss += gpcl_loss(h, y, gpcl_targets(generalized), tau)[0]
+        loss += gpcl_one_batch(h, y, gpcl_targets(generalized), tau)[0]
     if p_tilde is not None:
-        loss += apa_loss(h, y, p_tilde)[0]
+        loss += apa_one_batch(h, y, p_tilde)[0]
     return loss
 
 
@@ -333,9 +347,9 @@ def analytic_total_grads(
     _, d_logits = cross_entropy(trace.logits_2d, y)
     d_features = np.zeros_like(h)
     if generalized is not None:
-        d_features += gpcl_loss(h, y, gpcl_targets(generalized), tau)[1]
+        d_features += gpcl_one_batch(h, y, gpcl_targets(generalized), tau)[1]
     if p_tilde is not None:
-        d_features += apa_loss(h, y, p_tilde)[1]
+        d_features += apa_one_batch(h, y, p_tilde)[1]
     return backward(params, trace, d_logits, d_features)
 
 

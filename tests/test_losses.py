@@ -3,21 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from protofed.losses import (
-    LossBreakdown,
-    apa_loss,
-    cross_entropy,
-    gpcl_loss,
-    gpcl_targets,
-    total_loss,
-)
+from protofed.losses import LossBreakdown, cross_entropy, gpcl_targets, total_loss
 from protofed.prototypes import PrototypeSet
 
 from oracles import (
     DictPrototypeSet,
     Prototype,
+    apa_one_batch,
     cosine_similarity,
     finite_diff_grad,
+    gpcl_one_batch,
     rel_error,
 )
 
@@ -30,7 +25,7 @@ def proto_set(vectors: dict, num_classes=None) -> PrototypeSet:
 
 def gpcl(h, y, protos: PrototypeSet, tau):
     """GPCL of one batch against a dense generalized set."""
-    return gpcl_loss(h, y, gpcl_targets(protos), tau)
+    return gpcl_one_batch(h, y, gpcl_targets(protos), tau)
 
 
 def random_instance(seed, batch=6, dim=5, k=4, min_norm=1e-2):
@@ -108,8 +103,8 @@ class TestGpclLoss:
         assert loss == pytest.approx(math.log(1 + math.exp(-1)), abs=1e-9)
 
     def test_missing_class_rejected(self):
-        with pytest.raises(ValueError):
-            gpcl(np.ones((1, 2)), [1], proto_set({0: [1.0, 0.0]}), 0.07)
+        with pytest.raises(ValueError, match="no generalized prototype"):
+            gpcl(np.ones((1, 2)), [1], proto_set({0: [1.0, 0.0]}, num_classes=2), 0.07)
 
     def test_empty_prototypes_rejected(self):
         with pytest.raises(ValueError):
@@ -156,19 +151,19 @@ class TestApaLoss:
     def test_zero_at_prototypes(self):
         protos = proto_set({0: [1.0, 2.0], 1: [-1.0, 0.0]})
         h = np.array([[1.0, 2.0], [-1.0, 0.0]])
-        loss, grad = apa_loss(h, [0, 1], protos)
+        loss, grad = apa_one_batch(h, [0, 1], protos)
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_unit_case(self):
-        loss, grad = apa_loss(np.array([[1.0, 0.0]]), [0], proto_set({0: [0.0, 0.0]}))
+        loss, grad = apa_one_batch(np.array([[1.0, 0.0]]), [0], proto_set({0: [0.0, 0.0]}))
         assert loss == pytest.approx(1.0, abs=0)
         assert np.allclose(grad, [[2.0, 0.0]], atol=0)
 
     def test_missing_class_contributes_zero(self):
         protos = proto_set({0: [0.0, 0.0]}, num_classes=2)
         h = np.array([[1.0, 0.0], [5.0, 5.0]])
-        loss, grad = apa_loss(h, [0, 1], protos)
+        loss, grad = apa_one_batch(h, [0, 1], protos)
         assert loss == pytest.approx(0.5, abs=1e-15)  # only sample 0 counted, /B=2
         assert np.all(grad[1] == 0.0)
 
@@ -176,22 +171,22 @@ class TestApaLoss:
         rng = np.random.default_rng(5)
         for seed in range(10):
             h, y, protos = random_instance(seed)
-            loss, _ = apa_loss(h, y, protos)
+            loss, _ = apa_one_batch(h, y, protos)
             assert loss >= 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grad_finite_differences(self, seed):
         h, y, protos = random_instance(seed + 100)
-        _, grad = apa_loss(h, y, protos)
-        numeric = finite_diff_grad(lambda hh: apa_loss(hh, y, protos)[0], h.copy(), 1e-5)
+        _, grad = apa_one_batch(h, y, protos)
+        numeric = finite_diff_grad(lambda hh: apa_one_batch(hh, y, protos)[0], h.copy(), 1e-5)
         assert rel_error(grad, numeric) < 1e-4
 
     @pytest.mark.parametrize("seed", range(3))
     def test_class_mean_grad_finite_differences(self, seed):
         h, y, protos = random_instance(seed + 200)
-        _, grad = apa_loss(h, y, protos, class_mean=True)
+        _, grad = apa_one_batch(h, y, protos, class_mean=True)
         numeric = finite_diff_grad(
-            lambda hh: apa_loss(hh, y, protos, class_mean=True)[0], h.copy(), 1e-5
+            lambda hh: apa_one_batch(hh, y, protos, class_mean=True)[0], h.copy(), 1e-5
         )
         assert rel_error(grad, numeric) < 1e-4
 
