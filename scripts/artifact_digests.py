@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Write the reference artifacts into OUT and print their sha256 digests.
+
+Runs, with this checkout's protofed CLI:
+  run      --config configs/default.txt   --out OUT/run
+  ablate   --config configs/skewed.txt    --out OUT/ablate  (PROTOFED_THREADS=2)
+  sweep    --config configs/sweep_tau.txt --out OUT/sweep   (PROTOFED_THREADS=2)
+  gen-data --config configs/default.txt   --out OUT/gen-data/data.csv
+then prints `sha256  relative/path` for every file they wrote, sorted by path.
+Each command's output (OUT/run, OUT/ablate, OUT/sweep, OUT/gen-data) is
+removed first; nothing else under OUT is touched.
+
+Artifacts record their output directory (config.resolved.json), so two
+checkouts compare byte for byte only when both write into the same OUT:
+
+  python scripts/artifact_digests.py /tmp/out > a.txt   # in checkout A
+  python scripts/artifact_digests.py /tmp/out > b.txt   # in checkout B
+  diff a.txt b.txt
+"""
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+COMMANDS = [
+    # (command, config, output under OUT, PROTOFED_THREADS)
+    ("run", "configs/default.txt", "run", "1"),
+    ("ablate", "configs/skewed.txt", "ablate", "2"),
+    ("sweep", "configs/sweep_tau.txt", "sweep", "2"),
+    ("gen-data", "configs/default.txt", "gen-data/data.csv", "1"),
+]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("out", type=Path, help="output directory")
+    args = parser.parse_args()
+
+    out = args.out.resolve()
+    roots = [out / Path(target).parts[0] for _, _, target, _ in COMMANDS]
+    for root in roots:
+        shutil.rmtree(root, ignore_errors=True)
+    src = str(REPO / "src")
+    pythonpath = os.environ.get("PYTHONPATH")
+    for command, config, target, threads in COMMANDS:
+        env = dict(
+            os.environ,
+            PYTHONPATH=src if not pythonpath else f"{src}{os.pathsep}{pythonpath}",
+            PROTOFED_THREADS=threads,
+        )
+        argv = [sys.executable, "-m", "protofed", command, "--config", config]
+        code = subprocess.run(argv + ["--out", str(out / target)], cwd=REPO, env=env).returncode
+        if code != 0:
+            print(f"{command} --config {config} exited {code}", file=sys.stderr)
+            return code
+
+    for path in sorted(p for root in roots for p in root.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -27,6 +27,7 @@ from .config import (
     load_config,
     parse_sweep,
     sweep_dir_name,
+    validate_config,
     write_resolved,
 )
 from .datagen import CsvSchema, SampleSet, load_csv, save_csv
@@ -146,11 +147,10 @@ ABLATION_VARIANTS = [
 ]
 
 
-def _ablate_one(base: ExperimentConfig, out_root: Path, entry) -> list[str]:
+def _ablate_one(entry) -> list[str]:
     """One ablation.csv row; a failed sub-run raises with its directory name."""
-    group, variant, overrides = entry
-    sub_dir = out_root / f"{group}_{variant}"
-    sub_cfg = dataclasses.replace(base, **overrides, out_dir=str(sub_dir))
+    group, variant, sub_cfg = entry
+    sub_dir = Path(sub_cfg.out_dir)
     try:
         summary = execute_run(sub_cfg, sub_dir).summary
     except Exception as exc:
@@ -162,14 +162,24 @@ def _ablate_one(base: ExperimentConfig, out_root: Path, entry) -> list[str]:
         str(sub_cfg.apa_enabled).lower(),
         sub_cfg.aggregator_mode,
         sub_cfg.mixup_mode,
-    ] + _summary_row(summary, base.num_domains)
+    ] + _summary_row(summary, sub_cfg.num_domains)
 
 
 def cmd_ablate(args) -> int:
     base = load_config(args.config, seed=args.seed, out_dir=args.out)
     out_root = Path(base.out_dir)
+    # every variant's config is checked before the first sub-run starts
+    entries = []
+    for group, variant, overrides in ABLATION_VARIANTS:
+        sub_dir = out_root / f"{group}_{variant}"
+        sub_cfg = dataclasses.replace(base, **overrides, out_dir=str(sub_dir))
+        try:
+            validate_config(sub_cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"ablation variant {sub_dir.name}: {exc}") from None
+        entries.append((group, variant, sub_cfg))
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = _map_subruns(functools.partial(_ablate_one, base, out_root), ABLATION_VARIANTS)
+    rows = _map_subruns(_ablate_one, entries)
 
     with open(out_root / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

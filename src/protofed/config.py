@@ -51,10 +51,6 @@ class ExperimentConfig:
     def input_dim(self) -> int:
         return self.arch[0]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.arch[-1]
-
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
@@ -129,6 +125,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(
         cfg.mixup_mode in ("off", "input", "feature"),
         "mixup_mode must be off, input or feature",
+    )
+    # with mixup off the augmented prototypes are the batch's own class
+    # means, so the class-mean reading of APA is exactly zero
+    check(
+        not (cfg.apa_enabled and cfg.apa_class_mean and cfg.mixup_mode == "off"),
+        "apa_class_mean = true needs mixup_mode input or feature (with mixup_mode = off "
+        "APA's loss and gradient are exactly 0)",
     )
     check(len(cfg.arch) >= 2, "arch needs at least input and feature widths")
     check(all(w >= 1 for w in cfg.arch), "arch widths must be positive")

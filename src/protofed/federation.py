@@ -7,17 +7,16 @@ prototypes. Client results are always reduced in client-id order, so round
 output does not depend on the order of the client list. Any client failure
 aborts the round.
 
-Clients train in lockstep: their parameters form one (M, P) array (the
-leading client axis of model.py), and at every local step the clients whose
-current batch has the same length run one stacked forward, cross-entropy,
-backward and SGD step. With synthetic data every client holds the same
-number of samples, so all clients form one group at every step; with CSV
-data of unequal domains, clients whose batches differ in length (or that
-have no batches left this epoch) step in separate groups, and a group of one
-is simply M = 1. GPCL, the per-batch class means, mixup's row mixing and
-APA run stacked over the group too; only the mixup draws go client by
-client, each from its own stream in row order. Each client's random draws
-and arithmetic are therefore exactly those of training it alone.
+Clients of equal dataset size share a batch schedule, so each such size
+block trains as one (G, P) parameter stack (the leading client axis of
+model.py), its members in client-id order: every local step runs one
+stacked forward, cross-entropy, GPCL, per-batch class means, mixup row
+mixing, APA, backward and SGD step; only the mixup draws go client by
+client, each from its own stream in row order. With synthetic data every
+client holds the same number of samples, so there is one block; CSV data
+with unequal domains gives one block per size, and a block of one is simply
+G = 1. Each client's random draws and arithmetic are therefore exactly those
+of training it alone.
 
 With GPCL, APA and mixup all disabled the loop degrades to plain FedAvg and
 is required to match a minimal independent FedAvg implementation bitwise.
@@ -40,7 +39,9 @@ from .datagen import (
     partition,
     split_by_domain,
 )
-from .losses import LossBreakdown, apa_loss, cross_entropy, gpcl_loss, gpcl_targets, total_loss
+from .losses import (
+    GpclTargets, LossBreakdown, apa_loss, cross_entropy, gpcl_loss, gpcl_targets, total_loss
+)
 from .model import ModelParams, backward, forward, init_params, sgd_step
 from .numerics import STREAM_DATA, STREAM_INIT, Rng
 from .prototypes import (
@@ -115,13 +116,13 @@ def _apa_targets(
     rngs: list[Rng],
     cfg: ExperimentConfig,
 ) -> PrototypeSet:
-    """Per-batch augmented prototypes of every client in a stacked group,
+    """Per-batch augmented prototypes of every client in a stacked block,
     as one (G, K, d) set, under the configured mixup mode.
 
     off: plain per-batch class means. feature: mix cached features across
     classes. input: mix raw inputs and run one fresh (gradient-free) stacked
     forward. Mixup pairs are drawn from each client's own stream, in row
-    order; the mixing itself runs on the whole group.
+    order; the mixing itself runs on the whole block.
     """
     k = cfg.num_classes
     if cfg.mixup_mode == "off":
@@ -145,28 +146,63 @@ def _bad_term(ce: float, gpcl: float, apa: float) -> str | None:
     return None
 
 
-def _step_groups(shuffled, step: int, batch_size: int):
-    """The stacked groups of one lockstep step: (members, (G, L, in) inputs,
-    (G, L) labels) for each batch length L, from per-block shuffled data.
-    A block's members share a size and so a batch schedule; blocks whose
-    current batches have equal length are concatenated, and a block with
-    no batch left at this step sits it out. Members therefore come block by
-    block, not in client-id order, even when a group holds every client."""
-    groups: dict[int, tuple[list[int], list, list]] = {}
-    for members, xs, ys in shuffled:
-        bs = min(batch_size, ys.shape[1])
-        batch = slice(step * bs, (step + 1) * bs)
-        length = ys[0, batch].size
-        if length:
-            group = groups.setdefault(length, ([], [], []))
-            group[0].extend(members)
-            group[1].append(xs[:, batch])
-            group[2].append(ys[:, batch])
-    for members, x_parts, y_parts in groups.values():
-        if len(x_parts) == 1:
-            yield members, x_parts[0], y_parts[0]
-        else:
-            yield members, np.concatenate(x_parts), np.concatenate(y_parts)
+def _train_block(
+    block: list[ClientState],
+    global_params: ModelParams,
+    targets: GpclTargets | None,
+    cfg: ExperimentConfig,
+) -> tuple[tuple | None, ModelParams | None, np.ndarray | None]:
+    """The whole local update of one block of equal-size clients, listed in
+    client-id order, as one (G, P) stack. Returns the block's first failure
+    as (epoch, step within the epoch, client id, message) and two Nones, or
+    None, the (G, P) parameters and the (3, G) mean CE, GPCL and APA of each
+    member.
+
+    Per step the stack runs forward and CE; GPCL against the generalized
+    prototypes (targets, skipped while None); APA against per-batch
+    augmented prototypes (class means of plain or mixed rows); the checks;
+    backward and SGD. Each epoch every member draws its batch order from its
+    own stream. A failing step ends the block at once.
+    """
+    num, n = len(block), len(block[0].data)
+    batch_size = min(cfg.batch_size, n)
+    steps = math.ceil(n / batch_size)
+    rngs = [c.rng for c in block]
+    params = ModelParams(np.repeat(global_params.flat[None, :], num, axis=0), global_params.shapes)
+    # the members' (G, n, in) inputs and (G, n) labels, refilled in place
+    # each epoch in that epoch's batch order
+    xs = np.empty((num, n) + block[0].data.x.shape[1:])
+    ys = np.empty((num, n), dtype=np.int64)
+    sums = np.zeros((3, num))
+    for epoch in range(cfg.epochs):
+        for j, c in enumerate(block):
+            perm = c.rng.permutation(n)
+            xs[j] = c.data.x[perm]
+            ys[j] = c.data.labels[perm]
+        for step in range(steps):
+            batch = slice(step * batch_size, (step + 1) * batch_size)
+            xb, yb = xs[:, batch], ys[:, batch]
+            trace = forward(params, xb)
+            h = trace.acts[-1]
+            ce, d_logits = cross_entropy(trace.logits_2d, yb)
+            d_features = np.zeros_like(h)
+            gpcl = apa = np.zeros(num)
+            if targets is not None:
+                gpcl, g = gpcl_loss(h, yb, targets, cfg.tau)
+                d_features += g
+            if cfg.apa_enabled:
+                p_tilde = _apa_targets(params, h, xb, yb, rngs, cfg)
+                apa, g = apa_loss(h, yb, p_tilde, cfg.apa_class_mean)
+                d_features += g
+            for j, c in enumerate(block):  # the lowest failing client id first
+                why = _bad_term(float(ce[j]), float(gpcl[j]), float(apa[j]))
+                if why is not None:
+                    where = f"client {c.client_id}, local step {epoch * steps + step}"
+                    return (epoch, step, c.client_id, f"{where}: {why}"), None, None
+            grads = backward(params, trace, d_logits, d_features)
+            params = sgd_step(params, grads, cfg.lr, cfg.weight_decay)
+            sums += (ce, gpcl, apa)
+    return None, params, sums / (cfg.epochs * steps)
 
 
 def local_updates(
@@ -175,98 +211,45 @@ def local_updates(
     generalized: PrototypeSet | None,
     cfg: ExperimentConfig,
 ) -> list[LocalUpdateResult]:
-    """Train the received global model on every client's data in lockstep
-    (see the module docstring), then compute each client's local prototypes
-    over its full dataset with its final model, one client at a time.
-    Results come in client-id order.
+    """Train the received global model on every client's data, one size
+    block at a time (see the module docstring), then compute each client's
+    local prototypes over its full dataset with its final model, one client
+    at a time. Results come in client-id order.
 
-    Per step, each group runs stacked: forward and CE; GPCL against the
-    generalized prototypes (skipped while none exist yet; their matrix and
-    norms are prepared once per call); APA against per-batch augmented
-    prototypes (class means of plain or mixed rows); backward and SGD.
-    Each epoch every client draws its batch order from its own stream; its
-    batch size is clamped to its dataset. A non-finite loss term, or a CE
-    above MAX_STEP_CE, raises FloatingPointError naming the client, its
-    local step (counted from 0 across epochs) and the term: at the first
-    failing step, for the lowest failing client id.
+    Each client's batch size is clamped to its dataset. A non-finite loss
+    term, or a CE above MAX_STEP_CE, raises FloatingPointError naming the
+    client, its local step (counted from 0 across epochs) and the term: at
+    the first failing step, for the lowest failing client id, over all
+    blocks (the other blocks finish their update first).
     """
     ordered = sorted(clients, key=lambda c: c.client_id)
+    blocks: dict[int, list[ClientState]] = {}
     for c in ordered:
         if len(c.data) == 0:
             raise ValueError(f"client {c.client_id} has no data")
-    num = len(ordered)
-    shapes = global_params.shapes
-    # every client's model, one per row; each group gathers its members'
-    # rows and writes them back after its step
-    current = ModelParams(np.repeat(global_params.flat[None, :], num, axis=0), shapes)
-    # Clients of equal size share a batch schedule: one block of them per size.
-    blocks: dict[int, list[int]] = {}
-    for m, c in enumerate(ordered):
-        blocks.setdefault(len(c.data), []).append(m)
-    per_epoch = [math.ceil(len(c.data) / min(cfg.batch_size, len(c.data))) for c in ordered]
+        blocks.setdefault(len(c.data), []).append(c)
     # GPCL's prototype matrix and norms are constants for the whole update
     targets = gpcl_targets(generalized) if cfg.gpcl_enabled and generalized is not None else None
-    ce_sum, gpcl_sum, apa_sum = np.zeros(num), np.zeros(num), np.zeros(num)
-    # per block: its members' (G, n, in) inputs and (G, n) labels, refilled
-    # in place each epoch in that epoch's batch order
-    shuffled = [
-        (
-            members,
-            np.empty((len(members), n) + ordered[members[0]].data.x.shape[1:]),
-            np.empty((len(members), n), dtype=np.int64),
-        )
-        for n, members in blocks.items()
-    ]
-
-    for epoch in range(cfg.epochs):
-        for members, xs, ys in shuffled:
-            for j, m in enumerate(members):
-                perm = ordered[m].rng.permutation(xs.shape[1])
-                xs[j] = ordered[m].data.x[perm]
-                ys[j] = ordered[m].data.labels[perm]
-        for step in range(max(per_epoch)):
-            failures = []
-            for members, xb, yb in _step_groups(shuffled, step, cfg.batch_size):
-                params = ModelParams(current.flat[members], shapes)
-                trace = forward(params, xb)
-                h = trace.acts[-1]
-                ce, d_logits = cross_entropy(trace.logits_2d, yb)
-                d_features = np.zeros_like(h)
-                gpcl = apa = np.zeros(len(members))
-                if targets is not None:
-                    gpcl, g = gpcl_loss(h, yb, targets, cfg.tau)
-                    d_features += g
-                if cfg.apa_enabled:
-                    rngs = [ordered[m].rng for m in members]
-                    p_tilde = _apa_targets(params, h, xb, yb, rngs, cfg)
-                    apa, g = apa_loss(h, yb, p_tilde, cfg.apa_class_mean)
-                    d_features += g
-                for j, m in enumerate(members):
-                    why = _bad_term(float(ce[j]), float(gpcl[j]), float(apa[j]))
-                    if why is not None:
-                        cid = ordered[m].client_id
-                        where = f"client {cid}, local step {epoch * per_epoch[m] + step}"
-                        failures.append((cid, f"{where}: {why}"))
-                if failures:
-                    continue
-                grads = backward(params, trace, d_logits, d_features)
-                current.flat[members] = sgd_step(params, grads, cfg.lr, cfg.weight_decay).flat
-                ce_sum[members] += ce
-                gpcl_sum[members] += gpcl
-                apa_sum[members] += apa
-            if failures:
-                raise FloatingPointError(min(failures)[1])
+    trained: dict[int, tuple[ModelParams, np.ndarray]] = {}
+    failures = []
+    for block in blocks.values():
+        failure, params, means = _train_block(block, global_params, targets, cfg)
+        if failure is not None:
+            failures.append(failure)
+            continue
+        for j, c in enumerate(block):
+            trained[c.client_id] = ModelParams(params.flat[j], params.shapes), means[:, j]
+    if failures:
+        raise FloatingPointError(min(failures)[-1])
 
     results = []
-    for m, c in enumerate(ordered):
+    for c in ordered:
         # one client at a time: stacking every client's full dataset would
         # hold M times the activations for a forward that runs once a round
-        params = ModelParams(current.flat[m], shapes)
+        params, means = trained[c.client_id]
         h = forward(params, c.data.x).acts[-1]
         protos = local_prototypes(h, c.data.labels, cfg.num_classes)
-        steps = cfg.epochs * per_epoch[m]
-        mean = total_loss(*(float(s[m] / steps) for s in (ce_sum, gpcl_sum, apa_sum)))
-        results.append(LocalUpdateResult(params, protos, mean))
+        results.append(LocalUpdateResult(params, protos, total_loss(*map(float, means))))
     return results
 
 

@@ -30,7 +30,7 @@ class PrototypeSet:
     """Class-indexed centroids: row k of vectors (K, d) is class k's and
     support[k] its item (or client) count. A class is present when its
     support is positive; an absent class's row is zero. Per-batch sets of a
-    lockstep group carry a leading axis: (G, K, d) and (G, K)."""
+    size block's stacked clients carry a leading axis: (G, K, d) and (G, K)."""
 
     vectors: np.ndarray
     support: np.ndarray

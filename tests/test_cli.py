@@ -9,7 +9,8 @@ import pytest
 
 from protofed.cli import main
 from protofed.config import ExperimentConfig, build_config, load_config, parse_kv_text
-from protofed.datagen import load_csv
+from protofed.datagen import load_csv, save_csv
+from protofed.federation import build_problem
 from protofed.model import ModelParams, save_params
 from protofed.numerics import Rng
 
@@ -148,6 +149,38 @@ class TestRunCommand:
         ), err[0]
         assert not (out / "summary.json").exists()
 
+    def test_apa_class_mean_without_mixup_exits_2(self, tmp_path, capsys):
+        # with mixup off the class-mean APA reading is exactly zero
+        config = tmp_path / "noop.txt"
+        config.write_text(
+            TINY_CONFIG + "apa_class_mean = true\nmixup_mode = off\n", encoding="utf-8"
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "apa_class_mean" in err and "mixup_mode" in err
+        assert not out.exists()
+
+    def test_csv_clients_of_unequal_size(self, tiny_config, tmp_path):
+        # half of domain 1's rows dropped: its client trains in a block of
+        # its own, apart from the two equal-size clients of domain 0
+        data_path = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(tiny_config), "--out", str(data_path)]) == 0
+        data = load_csv(data_path)
+        keep = np.flatnonzero((data.domains == 0) | (np.arange(len(data)) % 2 == 0))
+        save_csv(data.take(keep), data_path)
+        config = tmp_path / "csv.txt"
+        config.write_text(TINY_CONFIG + f"csv_path = {data_path}\n", encoding="utf-8")
+        clients, _, _ = build_problem(load_config(config))
+        assert len({len(c.data) for c in clients}) == 2
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "rounds.jsonl").read_text().splitlines()
+        assert [json.loads(line)["round"] for line in lines] == [0, 1]
+        first = _tree(out)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert _tree(out) == first
+
 
 class TestSweepCommand:
     def test_tau_sweep_rows(self, tmp_path):
@@ -245,6 +278,17 @@ class TestAblateCommand:
         rw = next(r for r in rows if r["group"] == "aggregator" and r["variant"] == "reweight")
         feat = next(r for r in rows if r["group"] == "mixup" and r["variant"] == "feature")
         assert on_on["avg_acc_last5"] == rw["avg_acc_last5"] == feat["avg_acc_last5"]
+
+    def test_invalid_variant_exits_2(self, tmp_path, capsys):
+        # the base config is valid (mixup_mode = feature), but its mixup_off
+        # variant would run the class-mean APA reading as an exact zero
+        config = tmp_path / "noop.txt"
+        config.write_text(TINY_CONFIG + "apa_class_mean = true\n", encoding="utf-8")
+        out = tmp_path / "ablate_out"
+        assert main(["ablate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "mixup_off" in err and "apa_class_mean" in err and "mixup_mode" in err
+        assert not out.exists()  # no sub-run started
 
 
 class TestDumpEmbeddings:

@@ -356,9 +356,8 @@ class TestLockstep:
 
     @pytest.mark.parametrize("mixup_mode", ["off", "feature", "input"])
     # ragged: short last batches, a batch of one, a client smaller than the
-    # batch, groups spanning size blocks. interleaved: every batch is full
-    # at the first steps, so all clients form one group whose members come
-    # block by block (0, 2, 4, 1, 3), not in client-id order.
+    # batch, four size blocks. interleaved: sizes alternate in client-id
+    # order, so the blocks are clients (0, 2, 4) and (1, 3).
     @pytest.mark.parametrize(
         "sizes",
         [None, (23, 8, 17, 5, 23), (16, 24, 16, 24, 16)],
@@ -386,16 +385,24 @@ class TestLockstep:
 
     def test_first_failing_step_then_lowest_client(self):
         # FedAvg mode, one epoch, batches of 4: a NaN input row fails the
-        # step whose batch holds it. Client 0 fails at step 2, clients 1 and
-        # 2 at step 1, so the report names client 1 at local step 1.
+        # step whose batch holds it. One block: client 0 fails at step 2,
+        # clients 1 and 2 at step 1. Two blocks: client 0, in the first
+        # (12-row) block, fails at step 2, and client 1, alone in the 8-row
+        # block, at step 1, so raising on the first block's failure would
+        # name client 0. Either way the report names client 1 at step 1.
         cfg = replace(LOCKSTEP, epochs=1, batch_size=4, gpcl_enabled=False,
                       apa_enabled=False, mixup_mode="off")
-        clients, theta0 = _fresh_clients(cfg, (12, 12, 12, 12, 12))
-        for c, position in ((clients[0], 9), (clients[1], 5), (clients[2], 4)):
-            row = Rng(cfg.seed, c.client_id).permutation(len(c.data))[position]
-            c.data.x[row] = np.nan
-        with pytest.raises(FloatingPointError, match=r"^client 1, local step 1: ce loss is nan$"):
-            local_updates(clients, theta0, None, cfg)
+        for sizes, fails in (
+            ((12, 12, 12, 12, 12), ((0, 9), (1, 5), (2, 4))),
+            ((12, 8, 12), ((0, 9), (1, 5))),
+        ):
+            clients, theta0 = _fresh_clients(cfg, sizes)
+            for c, position in ((clients[i], position) for i, position in fails):
+                row = Rng(cfg.seed, c.client_id).permutation(len(c.data))[position]
+                c.data.x[row] = np.nan
+            match = r"^client 1, local step 1: ce loss is nan$"
+            with pytest.raises(FloatingPointError, match=match):
+                local_updates(clients, theta0, None, cfg)
 
     def test_diverged_ce_names_bound(self):
         cfg = replace(TINY, lr=1e6, gpcl_enabled=False, apa_enabled=False, mixup_mode="off")
