@@ -12,7 +12,8 @@ block trains as one (G, P) parameter stack (the leading client axis of
 model.py), its members in client-id order: every local step runs one
 stacked forward, cross-entropy, GPCL, per-batch class means, mixup row
 mixing, APA, backward and SGD step; only the mixup draws go client by
-client, each from its own stream in row order. With synthetic data every
+client, each from its own stream: two array draws per batch, all gammas
+and then all partner ranks (mixup_pairs). With synthetic data every
 client holds the same number of samples, so there is one block; CSV data
 with unequal domains gives one block per size, and a block of one is simply
 G = 1. Each client's random draws and arithmetic are therefore exactly those
@@ -67,7 +68,6 @@ MAX_STEP_CE = 1e6
 @dataclass
 class ClientState:
     client_id: int
-    domain_id: int
     data: SampleSet
     rng: Rng
 
@@ -121,8 +121,9 @@ def _apa_targets(
 
     off: plain per-batch class means. feature: mix cached features across
     classes. input: mix raw inputs and run one fresh (gradient-free) stacked
-    forward. Mixup pairs are drawn from each client's own stream, in row
-    order; the mixing itself runs on the whole block.
+    forward. Each client's mixup pairs come from its own stream, in
+    mixup_pairs' order (its gammas, then its partner ranks); the mixing
+    itself runs on the whole block.
     """
     k = cfg.num_classes
     if cfg.mixup_mode == "off":
@@ -365,7 +366,7 @@ def build_problem(
     splits, test_sets = partition(domain_data, plan, rng_data)
     theta0 = init_params(Rng(cfg.seed, STREAM_INIT), list(cfg.arch), cfg.num_classes)
     clients = [
-        ClientState(s.client_id, s.domain, s.data, Rng(cfg.seed, s.client_id))
+        ClientState(s.client_id, s.data, Rng(cfg.seed, s.client_id))
         for s in splits
     ]
     return clients, test_sets, theta0

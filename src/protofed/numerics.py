@@ -9,8 +9,6 @@ reproducible regardless of how client work is scheduled.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Floor applied to vector norms so zero features cannot produce NaN.
@@ -42,8 +40,6 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        if size is None and low == 0.0 and high == 1.0:
-            return self._gen.random()  # fast scalar path, same value stream
         return self._gen.uniform(low, high, size)
 
     def normal(self, size=None):
@@ -95,38 +91,10 @@ def check_batch(
     return a, y
 
 
-def _sample_gamma(rng: Rng, alpha: float) -> float:
-    """Marsaglia-Tsang gamma draw; alpha < 1 goes through the alpha+1 boost."""
-    gen = rng._gen
-    if alpha < 1.0:
-        # X = Gamma(alpha + 1) * U^(1/alpha); U drawn in (0, 1].
-        g = _sample_gamma(rng, alpha + 1.0)
-        u = 1.0 - gen.random()
-        return g * u ** (1.0 / alpha)
-    d = alpha - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = gen.standard_normal()
-        t = 1.0 + c * x
-        if t <= 0.0:
-            continue
-        v = t * t * t
-        u = 1.0 - gen.random()  # (0, 1], keeps log(u) finite
-        if u < 1.0 - 0.0331 * x * x * x * x:
-            return d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
-
-
-def sample_beta(rng: Rng, alpha: float) -> float:
-    """One draw from the symmetric Beta(alpha, alpha), via two gamma draws."""
+def sample_beta(rng: Rng, alpha: float, size=None):
+    """Draws from the symmetric Beta(alpha, alpha): one float, or an array
+    of the given size, clamped to the open interval (0, 1). For small alpha
+    numpy's draws can be exactly 1.0 (about 8% of them at alpha = 0.05)."""
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
-    g1 = _sample_gamma(rng, alpha)
-    g2 = _sample_gamma(rng, alpha)
-    total = g1 + g2
-    if total <= 0.0:  # both underflowed to zero; symmetric midpoint
-        return 0.5
-    out = g1 / total
-    # keep the contract of an open (0, 1) interval even under underflow
-    return min(max(out, 5e-324), 1.0 - 2**-53)
+    return np.clip(rng._gen.beta(alpha, alpha, size), 5e-324, 1.0 - 2**-53)

@@ -91,24 +91,27 @@ def local_prototypes(features, labels, num_classes: int) -> PrototypeSet:
 
 
 def mixup_pairs(labels, rng: Rng, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (gamma, partner index) for every sample in input order.
+    """Draw (gamma, partner index) for every sample in row order.
 
-    The partner is uniform over samples with a different label. Samples with
-    no cross-class partner get partner -1 and gamma 1.0 and consume no draws,
-    so the draw sequence is a pure function of the label layout.
+    The partner is uniform over the samples with a different label. The
+    draws are: all n gammas, ``sample_beta(rng, alpha, n)``, then all n
+    partner ranks, ``rng.integers(pool_sizes)`` where a sample's pool size
+    is the number of rows of other classes, both in row order. Sample i's
+    rank counts its pool in label-sorted order (a stable sort, so rows of
+    one class keep their order). A batch of one class has no cross-class
+    partner: every sample gets partner -1 and gamma 1.0 and no draw is
+    made, so the draw sequence is a pure function of the labels.
     """
     y = np.asarray(labels, dtype=np.int64)
     n = y.shape[0]
-    gammas = np.ones(n)
-    partners = np.full(n, -1, dtype=np.int64)
-    idx = np.arange(n)
-    pools = {int(k): idx[y != k] for k in np.unique(y)}
-    for i in range(n):
-        pool = pools[int(y[i])]
-        if pool.size == 0:
-            continue
-        gammas[i] = sample_beta(rng, alpha)
-        partners[i] = pool[rng.integers(pool.size)]
+    counts = np.bincount(y)
+    if np.count_nonzero(counts) < 2:
+        return np.ones(n), np.full(n, -1, dtype=np.int64)
+    gammas = sample_beta(rng, alpha, n)
+    own, start = counts[y], (np.cumsum(counts) - counts)[y]
+    ranks = rng.integers(n - own)
+    # skip over the sample's own class, which sits at [start, start + own)
+    partners = np.argsort(y, kind="stable")[ranks + own * (ranks >= start)]
     return gammas, partners
 
 

@@ -1,6 +1,6 @@
-"""Shared fixtures; the expensive artifacts (million-draw Beta samples, the
-desk-scale benchmark runs) are computed once per session and reused by the
-unit tests and the acceptance suite."""
+"""Shared fixtures; the million-draw Beta samples and the desk-scale
+benchmark runs are computed once per session and reused by the unit tests
+and the acceptance suite."""
 
 from __future__ import annotations
 
@@ -30,8 +30,7 @@ def beta_draws():
 
     def get(alpha: float, n: int = 1_000_000) -> np.ndarray:
         if alpha not in cache:
-            rng = Rng(123, 7)
-            cache[alpha] = np.array([sample_beta(rng, alpha) for _ in range(n)])
+            cache[alpha] = sample_beta(Rng(123, 7), alpha, n)
         return cache[alpha]
 
     return get

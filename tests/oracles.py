@@ -197,6 +197,28 @@ def naive_local_prototypes(features, labels) -> DictPrototypeSet:
     return DictPrototypeSet(entries)
 
 
+def naive_mixup_pairs(labels, seed: int, stream: int, alpha: float) -> tuple[list, list]:
+    """Replay of prototypes.mixup_pairs' documented draw order, one scalar
+    draw at a time from a fresh Philox generator keyed (seed, stream):
+    every sample's gamma in row order, then every sample's partner rank in
+    row order, the rank indexing an explicit list of the sample's
+    other-class rows sorted by (label, row). A sample without such rows
+    keeps gamma 1.0 and partner -1 and draws nothing."""
+    y = [int(v) for v in labels]
+    n = len(y)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    by_label = sorted(range(n), key=lambda j: (y[j], j))
+    pools = [[j for j in by_label if y[j] != y[i]] for i in range(n)]
+    gammas, partners = [1.0] * n, [-1] * n
+    for i in range(n):
+        if pools[i]:
+            gammas[i] = min(max(float(gen.beta(alpha, alpha)), 5e-324), 1.0 - 2**-53)
+    for i in range(n):
+        if pools[i]:
+            partners[i] = pools[i][int(gen.integers(0, len(pools[i])))]
+    return gammas, partners
+
+
 def _check_batch(rows, labels) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(rows, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)

@@ -16,7 +16,7 @@ from protofed.config import ExperimentConfig
 from protofed.federation import run_experiment
 from protofed.losses import cross_entropy, gpcl_targets
 from protofed.model import ModelParams, forward, init_params, params_from_layers
-from protofed.numerics import Rng, sample_beta
+from protofed.numerics import Rng
 from protofed.prototypes import PrototypeSet, average_prototypes, ema_update, reweight
 
 from conftest import SKEWED_VARIANT

@@ -32,7 +32,7 @@ TINY = ExperimentConfig(
 
 def toy_client(seed=0, k=2, dim=8, per_class=60, domain=0):
     data = make_domains(k, 2, dim, per_class, Rng(seed, 50), noise_sigma=0.2)[domain]
-    return ClientState(0, domain, data, Rng(seed, 0))
+    return ClientState(0, data, Rng(seed, 0))
 
 
 def toy_params(seed=0, k=2, dim=8):
@@ -294,8 +294,8 @@ class TestNaiveLoopStructure:
     def test_equal_clients_aggregate_to_their_solo_update(self):
         cfg = replace(TINY, num_classes=2)
         base, params = toy_client(seed=5), toy_params(seed=5)
-        twin_a = ClientState(0, 0, base.data, Rng(5, 0))
-        twin_b = ClientState(1, 0, base.data, Rng(5, 0))
+        twin_a = ClientState(0, base.data, Rng(5, 0))
+        twin_b = ClientState(1, base.data, Rng(5, 0))
         res_a, res_b = local_updates([twin_a, twin_b], params, None, cfg)
         assert np.array_equal(res_a.params.flat, res_b.params.flat)
         merged = aggregate_params([res_a.params, res_b.params], [len(base.data)] * 2)
@@ -321,7 +321,7 @@ def _fresh_clients(cfg, sizes=None):
     clients, _, theta0 = build_problem(cfg)
     if sizes is not None:
         clients = [
-            ClientState(c.client_id, c.domain_id, c.data.take(np.arange(n)), c.rng)
+            ClientState(c.client_id, c.data.take(np.arange(n)), c.rng)
             for c, n in zip(clients, sizes)
         ]
     return clients, theta0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protofed.numerics import Rng, sample_beta
+from protofed.numerics import Rng
 from protofed.prototypes import (
     PrototypeSet,
     average_prototypes,
@@ -17,7 +17,7 @@ from protofed.prototypes import (
     save_prototypes_json,
 )
 
-from oracles import DictPrototypeSet, Prototype, naive_reweight
+from oracles import DictPrototypeSet, Prototype, naive_mixup_pairs, naive_reweight
 
 
 def pset(d: dict) -> PrototypeSet:
@@ -117,24 +117,30 @@ class TestAugmentedPrototypes:
         for k in np.flatnonzero(ref.present):
             assert np.allclose(out.vectors[k], ref.vectors[k], atol=0)
 
-    def test_matches_draw_replay_oracle(self):
-        # replay the documented per-sample draw sequence: gamma, then partner
-        rng = np.random.default_rng(3)
-        h = rng.normal(size=(10, 4))
-        y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-        out = mixed_prototypes(h, y, Rng(42, 5), 0.4)
+    # unsorted labels over 3+ classes exercise the rank-to-partner mapping;
+    # the last batch has one class and draws nothing
+    REPLAY_LABELS = [
+        [0, 0, 0, 0, 0, 1, 1, 1, 1, 1],
+        [2, 0, 1, 2, 1, 0, 0, 2, 1, 2],
+        [3, 1, 4, 1, 0, 3, 2, 4, 0, 1, 2, 3],
+        [1, 1, 1, 1, 1, 1],
+    ]
 
-        replay = Rng(42, 5)
-        mixed = []
-        for i in range(10):
-            pool = [j for j in range(10) if y[j] != y[i]]
-            gamma = sample_beta(replay, 0.4)
-            j = pool[int(replay.integers(len(pool)))]
-            mixed.append(gamma * h[i] + (1 - gamma) * h[j])
-        mixed = np.array(mixed)
-        for k in (0, 1):
-            naive = mixed[y == k].mean(axis=0)
-            assert np.allclose(out.vectors[k], naive, atol=1e-12)
+    def test_matches_draw_replay_oracle(self):
+        # replay the documented draw order: all gammas, then all partner ranks
+        for labels in self.REPLAY_LABELS:
+            y = np.array(labels)
+            h = np.random.default_rng(3).normal(size=(y.size, 4))
+            out = mixed_prototypes(h, y, Rng(42, 5), 0.4)
+
+            gammas, partners = naive_mixup_pairs(y, 42, 5, 0.4)
+            mixed = np.array([
+                h[i] if j < 0 else g * h[i] + (1 - g) * h[j]
+                for i, (g, j) in enumerate(zip(gammas, partners))
+            ])
+            for k in np.unique(y):
+                naive = mixed[y == k].mean(axis=0)
+                assert np.allclose(out.vectors[k], naive, atol=1e-12), (labels, k)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
