@@ -27,12 +27,10 @@ class ExperimentConfig:
     weight_decay: float = 1e-5
     tau: float = 0.07  # contrastive temperature
     alpha: float = 0.4  # Beta(alpha, alpha) mixup concentration
-    beta: float = 0.99  # EMA decay for generalized prototypes
-    ema_enabled: bool = True
+    beta: float = 0.99  # EMA decay for generalized prototypes; 1.0 turns the EMA off
     aggregator_mode: str = "reweight"  # reweight | average
     gpcl_enabled: bool = True
     apa_enabled: bool = True
-    apa_class_mean: bool = False  # alternative class-mean alignment reading
     mixup_mode: str = "feature"  # off | input | feature
     arch: tuple[int, ...] = (16, 32, 16)  # input, hidden..., feature width
     num_classes: int = 5
@@ -125,13 +123,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(
         cfg.mixup_mode in ("off", "input", "feature"),
         "mixup_mode must be off, input or feature",
-    )
-    # with mixup off the augmented prototypes are the batch's own class
-    # means, so the class-mean reading of APA is exactly zero
-    check(
-        not (cfg.apa_enabled and cfg.apa_class_mean and cfg.mixup_mode == "off"),
-        "apa_class_mean = true needs mixup_mode input or feature (with mixup_mode = off "
-        "APA's loss and gradient are exactly 0)",
     )
     check(len(cfg.arch) >= 2, "arch needs at least input and feature widths")
     check(all(w >= 1 for w in cfg.arch), "arch widths must be positive")

@@ -140,13 +140,10 @@ class PartitionPlan:
 
     clients_per_domain: dict[int, int]
     sampling_rate: float
-    test_fraction: float = TEST_FRACTION
 
     def __post_init__(self):
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError("sampling_rate must lie in (0, 1]")
-        if not 0.0 <= self.test_fraction < 1.0:
-            raise ValueError("test_fraction must lie in [0, 1)")
         if sum(self.clients_per_domain.values()) < 1:
             raise ValueError("plan allocates no clients")
 
@@ -175,7 +172,7 @@ def partition(
         data = domain_data[dom]
         n = len(data)
         perm = rng.permutation(n)
-        n_test = int(plan.test_fraction * n)
+        n_test = int(TEST_FRACTION * n)
         test_sets[dom] = data.take(perm[:n_test])
         pool = data.take(perm[n_test:])
         n_draw = int(plan.sampling_rate * len(pool))

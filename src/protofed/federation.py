@@ -193,7 +193,7 @@ def _train_block(
                 d_features += g
             if cfg.apa_enabled:
                 p_tilde = _apa_targets(params, h, xb, yb, rngs, cfg)
-                apa, g = apa_loss(h, yb, p_tilde, cfg.apa_class_mean)
+                apa, g = apa_loss(h, yb, p_tilde)
                 d_features += g
             for j, c in enumerate(block):  # the lowest failing client id first
                 why = _bad_term(float(ce[j]), float(gpcl[j]), float(apa[j]))
@@ -315,10 +315,7 @@ def run_round(
     if cfg.aggregator_mode == "reweight":
         mu = average_prototypes(prototype_sets)
         fresh, _ = reweight(prototype_sets, mu)
-        if cfg.ema_enabled and server.generalized is not None:
-            generalized = ema_update(fresh, server.generalized, cfg.beta)
-        else:
-            generalized = fresh
+        generalized = ema_update(fresh, server.generalized, cfg.beta)
     elif cfg.aggregator_mode == "average":
         generalized = average_prototypes(prototype_sets)
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import EPS_NORM, check_batch
-from .prototypes import PrototypeSet, local_prototypes
+from .prototypes import PrototypeSet
 
 
 @dataclass(frozen=True)
@@ -124,31 +124,19 @@ def gpcl_loss(features, labels, targets: GpclTargets, tau: float):
     return loss, grad
 
 
-def apa_loss(features, labels, p_tilde: PrototypeSet, class_mean: bool = False):
+def apa_loss(features, labels, p_tilde: PrototypeSet):
     """Squared-L2 pull toward the augmented prototype of the sample's class.
 
-    Default reading: per-sample mean (1/B) sum_i |h_i - p~_{y_i}|^2, samples
-    whose class has no augmented prototype contributing zero. The alternative
-    class-mean reading (sum over classes of |mean_k(h) - p~_k|^2) is kept for
-    comparison behind the flag. Takes (G, B, d) features with (G, B) labels
-    and a (G, K, d) set; returns the (G,) losses and the (G, B, d) gradient.
+    Per-sample mean (1/B) sum_i |h_i - p~_{y_i}|^2, samples whose class has
+    no augmented prototype contributing zero. Takes (G, B, d) features with
+    (G, B) labels and a (G, K, d) set; returns the (G,) losses and the
+    (G, B, d) gradient.
     """
     h, y = check_batch(features, labels, p_tilde.vectors.shape[-2], stacked=True)
-    vectors, present = p_tilde.vectors, p_tilde.present
     b = h.shape[-2]
-    counted = np.take_along_axis(present, y, axis=-1)[..., None]
-
-    if class_mean:
-        means = local_prototypes(h, y, vectors.shape[-2])
-        diff = means.vectors - vectors
-        # one np.dot per class, added up in class order from 0.0
-        dots = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-        loss = np.add.accumulate(np.where(means.present & present, dots, 0.0), axis=-1)[..., -1]
-        per_class = 2.0 * diff / np.maximum(means.support, 1)[..., None]
-        grad = np.where(counted, np.take_along_axis(per_class, y[..., None], axis=-2), 0.0)
-    else:
-        diff = (h - np.take_along_axis(vectors, y[..., None], axis=-2)) * counted
-        loss = (diff * diff).reshape(len(h), -1).sum(axis=-1) / b
-        # a batch with no counted sample has an exactly zero gradient
-        grad = np.where(counted.any(axis=-2, keepdims=True), 2.0 * diff / b, 0.0)
+    counted = np.take_along_axis(p_tilde.present, y, axis=-1)[..., None]
+    diff = (h - np.take_along_axis(p_tilde.vectors, y[..., None], axis=-2)) * counted
+    loss = (diff * diff).reshape(len(h), -1).sum(axis=-1) / b
+    # a batch with no counted sample has an exactly zero gradient
+    grad = np.where(counted.any(axis=-2, keepdims=True), 2.0 * diff / b, 0.0)
     return loss, grad

@@ -91,11 +91,11 @@ def gpcl_one_batch(h, y, targets, tau: float) -> tuple[float, np.ndarray]:
     return float(loss[0]), grad[0]
 
 
-def apa_one_batch(h, y, p_tilde: PrototypeSet, class_mean: bool = False):
+def apa_one_batch(h, y, p_tilde: PrototypeSet):
     """apa_loss of a single (B, d) batch against a (K, d) set, run as a
     stack of one; returns (float loss, (B, d) gradient)."""
     stacked = PrototypeSet(p_tilde.vectors[None], p_tilde.support[None])
-    loss, grad = apa_loss(np.asarray(h)[None], np.asarray(y)[None], stacked, class_mean)
+    loss, grad = apa_loss(np.asarray(h)[None], np.asarray(y)[None], stacked)
     return float(loss[0]), grad[0]
 
 
@@ -279,27 +279,12 @@ def naive_gpcl_loss(
     return loss, grad
 
 
-def naive_apa_loss(
-    features, labels, p_tilde: DictPrototypeSet, class_mean: bool = False
-) -> tuple[float, np.ndarray]:
-    """APA of one client's batch against a DictPrototypeSet, one class or
-    sample at a time: the oracle of the stacked dense losses.apa_loss."""
+def naive_apa_loss(features, labels, p_tilde: DictPrototypeSet) -> tuple[float, np.ndarray]:
+    """APA of one client's batch against a DictPrototypeSet, one sample at a
+    time: the oracle of the stacked dense losses.apa_loss."""
     h, y = _check_batch(features, labels)
     b, d = h.shape
     grad = np.zeros_like(h)
-
-    if class_mean:
-        loss = 0.0
-        for k in np.unique(y):
-            if int(k) not in p_tilde:
-                continue
-            mask = y == k
-            mean_k = h[mask].mean(axis=0)
-            diff = mean_k - p_tilde.vector(int(k))
-            loss += float(np.dot(diff, diff))
-            grad[mask] = 2.0 * diff / mask.sum()
-        return loss, grad
-
     counted = np.array([int(v) in p_tilde for v in y])
     if not counted.any():
         return 0.0, grad

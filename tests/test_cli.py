@@ -103,10 +103,14 @@ class TestRunCommand:
         assert "tau" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
+        # the last two are removed keys: a config that still sets one must
+        # fail, not run without it
         bad = tmp_path / "bad.txt"
-        bad.write_text("no_such_key = 1\n", encoding="utf-8")
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert "no_such_key" in capsys.readouterr().err
+        for line in ("no_such_key = 1", "apa_class_mean = false", "ema_enabled = true"):
+            bad.write_text(line + "\n", encoding="utf-8")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+            key = line.split(" = ")[0]
+            assert f"unknown keys: {key}" in capsys.readouterr().err
 
     def test_missing_config_file_exits_3(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.txt")]) == 3
@@ -148,18 +152,6 @@ class TestRunCommand:
             err[0],
         ), err[0]
         assert not (out / "summary.json").exists()
-
-    def test_apa_class_mean_without_mixup_exits_2(self, tmp_path, capsys):
-        # with mixup off the class-mean APA reading is exactly zero
-        config = tmp_path / "noop.txt"
-        config.write_text(
-            TINY_CONFIG + "apa_class_mean = true\nmixup_mode = off\n", encoding="utf-8"
-        )
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "apa_class_mean" in err and "mixup_mode" in err
-        assert not out.exists()
 
     def test_csv_clients_of_unequal_size(self, tiny_config, tmp_path):
         # half of domain 1's rows dropped: its client trains in a block of
@@ -278,17 +270,6 @@ class TestAblateCommand:
         rw = next(r for r in rows if r["group"] == "aggregator" and r["variant"] == "reweight")
         feat = next(r for r in rows if r["group"] == "mixup" and r["variant"] == "feature")
         assert on_on["avg_acc_last5"] == rw["avg_acc_last5"] == feat["avg_acc_last5"]
-
-    def test_invalid_variant_exits_2(self, tmp_path, capsys):
-        # the base config is valid (mixup_mode = feature), but its mixup_off
-        # variant would run the class-mean APA reading as an exact zero
-        config = tmp_path / "noop.txt"
-        config.write_text(TINY_CONFIG + "apa_class_mean = true\n", encoding="utf-8")
-        out = tmp_path / "ablate_out"
-        assert main(["ablate", "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "mixup_off" in err and "apa_class_mean" in err and "mixup_mode" in err
-        assert not out.exists()  # no sub-run started
 
 
 class TestDumpEmbeddings:

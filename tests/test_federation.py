@@ -189,7 +189,7 @@ class TestRunRound:
 
     def test_aggregator_modes_diverge(self):
         cfg = replace(TINY, rounds=3)
-        rw = run_experiment(replace(cfg, aggregator_mode="reweight", ema_enabled=False))
+        rw = run_experiment(replace(cfg, aggregator_mode="reweight", beta=1.0))
         av = run_experiment(replace(cfg, aggregator_mode="average"))
         k = np.flatnonzero(rw.final_generalized.present)[0]
         assert not np.allclose(

@@ -181,15 +181,6 @@ class TestApaLoss:
         numeric = finite_diff_grad(lambda hh: apa_one_batch(hh, y, protos)[0], h.copy(), 1e-5)
         assert rel_error(grad, numeric) < 1e-4
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_class_mean_grad_finite_differences(self, seed):
-        h, y, protos = random_instance(seed + 200)
-        _, grad = apa_one_batch(h, y, protos, class_mean=True)
-        numeric = finite_diff_grad(
-            lambda hh: apa_one_batch(hh, y, protos, class_mean=True)[0], h.copy(), 1e-5
-        )
-        assert rel_error(grad, numeric) < 1e-4
-
 
 class TestTotalLoss:
     def test_plain_sum(self):
