@@ -115,18 +115,21 @@ class TestGroupTerms:
             single = local_prototypes(h[g], y[g], k)
             assert same(single.vectors, means.vectors[g]) and same(single.support, means.support[g])
 
-    def test_apa_matches_each_client(self, groups, batch, dim, k, seed):
+    # the batch's own class means (the federation's case), or a set that
+    # lacks some of the batch's classes
+    @pytest.mark.parametrize("partial", [False, pytest.param(True, id="partial")])
+    def test_apa_matches_each_client(self, groups, batch, dim, k, seed, partial):
         h, y, _ = group_instance(seed, groups, batch, dim, k)
-        rng = np.random.default_rng(seed + 1000)
-        # the batch's own class means (the federation's case) and a set
-        # that lacks some of the batch's classes
-        for p_tilde in (local_prototypes(h, y, k), random_set(rng, groups, k, dim)):
-            loss, grad = apa_loss(h, y, p_tilde)
-            assert loss.shape == (groups,) and grad.shape == h.shape
-            for g in range(groups):
-                dict_set = as_dict_set(one(p_tilde, g))
-                want_loss, want_grad = naive_apa_loss(h[g], y[g], dict_set)
-                assert same(loss[g], want_loss) and same(grad[g], want_grad)
+        if partial:
+            p_tilde = random_set(np.random.default_rng(seed + 1000), groups, k, dim)
+        else:
+            p_tilde = local_prototypes(h, y, k)
+        loss, grad = apa_loss(h, y, p_tilde)
+        assert loss.shape == (groups,) and grad.shape == h.shape
+        for g in range(groups):
+            dict_set = as_dict_set(one(p_tilde, g))
+            want_loss, want_grad = naive_apa_loss(h[g], y[g], dict_set)
+            assert same(loss[g], want_loss) and same(grad[g], want_grad)
 
     def test_mix_rows_matches_each_client(self, groups, batch, dim, k, seed):
         h, y, _ = group_instance(seed, groups, batch, dim, k)
