@@ -5,6 +5,8 @@ no timestamps, sorted keys, fixed float formatting. Exit codes: 0 success,
 2 configuration error, 3 runtime error. PROTOFED_THREADS sets how many
 worker processes run the independent sub-runs of a sweep or an ablation
 (default 1: one after another in this process); it never changes results.
+The workers are forked from this process, so a value above 1 needs a
+platform with the fork start method.
 """
 
 from __future__ import annotations
@@ -52,16 +54,27 @@ def _fmt(value: float) -> str:
 
 
 def _map_subruns(worker, items: list) -> list:
-    """[worker(item) for item in items], run by PROTOFED_THREADS spawned
-    processes when that is above 1. Spawned workers start from a fresh import
-    and inherit no threads; the pool is imported here because `run` needs none."""
+    """[worker(item) for item in items], run by PROTOFED_THREADS processes
+    forked from this one when that is above 1; rows come back in input order.
+
+    Forked workers inherit the program already imported here instead of
+    importing it again. Fork is safe because this process has no other thread
+    when it forks: `sweep` and `ablate` start none before the pool, OpenBLAS
+    stops its own threads in its fork handler, and the fork-context executor
+    forks all its workers before it starts its manager thread. Fork flushes
+    stdio first, so no buffered output is written twice. The pool is imported
+    here because `run` needs none."""
     threads = _threads()
     if threads == 1:
         return [worker(item) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("spawn")
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError(
+            "PROTOFED_THREADS above 1 needs the fork start method, which this platform lacks"
+        )
+    context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(min(threads, len(items)), mp_context=context) as pool:
         return list(pool.map(worker, items))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,6 +141,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(cfg.data_anchor_scale > 0, "data_anchor_scale must be > 0")
     check(cfg.data_shift >= 0, "data_shift must be >= 0")
     check(cfg.seed >= 0, "seed must be >= 0")
+    # the checks above bound these from below only, so inf would pass them
+    for name in ("lr", "weight_decay", "tau", "alpha", "data_noise", "data_anchor_scale",
+                 "data_shift"):
+        check(math.isfinite(getattr(cfg, name)), f"{name} must be finite")
     if problems:
         raise ConfigError("; ".join(problems))
 

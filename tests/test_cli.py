@@ -1,13 +1,15 @@
 import csv
 import io
 import json
+import multiprocessing
 import re
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
-from protofed.cli import main
+from protofed.cli import _map_subruns, main
 from protofed.config import ExperimentConfig, build_config, load_config, parse_kv_text
 from protofed.datagen import load_csv, save_csv
 from protofed.federation import build_problem
@@ -97,10 +99,15 @@ class TestRunCommand:
         assert (out_a / "model.bin").read_bytes() == (out_b / "model.bin").read_bytes()
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
+        # inf passes a one-sided bound, so each such float key needs its own case
         bad = tmp_path / "bad.txt"
-        bad.write_text("tau = 0\n", encoding="utf-8")
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert "tau" in capsys.readouterr().err
+        one_sided = ("lr", "weight_decay", "tau", "alpha", "data_noise", "data_anchor_scale",
+                     "data_shift")
+        for line in ["tau = 0"] + [f"{key} = inf" for key in one_sided]:
+            bad.write_text(line + "\n", encoding="utf-8")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, line
+            key = line.split(" = ")[0]
+            assert f"config error: {key} must be" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # the last two are removed keys: a config that still sets one must
@@ -354,6 +361,13 @@ class TestGenData:
         assert a.read_bytes() == b.read_bytes()
 
 
+WORKER_MARK = "default"
+
+
+def _read_mark(_item) -> str:
+    return WORKER_MARK
+
+
 def _tree(root) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -400,6 +414,23 @@ class TestThreadsEnv:
         assert errors[0].startswith("error: sub-run components_gpcl_off_apa_off: ")
 
     def test_invalid_threads_exits_2(self, tiny_config, tmp_path, monkeypatch, capsys):
+        argv = ["ablate", "--config", str(tiny_config), "--out", str(tmp_path / "o")]
         monkeypatch.setenv("PROTOFED_THREADS", "zero")
-        assert main(["ablate", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 2
+        assert main(argv) == 2
         assert "PROTOFED_THREADS" in capsys.readouterr().err
+        # workers are forked, so a platform without fork (Windows) cannot run
+        # them; one thread still runs every sub-run in process
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setenv("PROTOFED_THREADS", "2")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "PROTOFED_THREADS" in err and "fork" in err
+        monkeypatch.setenv("PROTOFED_THREADS", "1")
+        assert main(argv) == 0
+
+    def test_workers_fork_from_this_process(self, monkeypatch):
+        # a forked worker sees state set here at run time; a spawned one would
+        # import this module again and read the default
+        monkeypatch.setattr(sys.modules[__name__], "WORKER_MARK", "set in the parent")
+        monkeypatch.setenv("PROTOFED_THREADS", "2")
+        assert _map_subruns(_read_mark, [0, 1]) == ["set in the parent"] * 2

@@ -222,19 +222,19 @@ class TestRunExperiment:
         b = run_experiment(TINY)
         assert [r.to_json_dict() for r in a.reports] == [r.to_json_dict() for r in b.reports]
 
-    def test_threads_do_not_change_results(self):
-        # sweep/ablate run each sub-run in a spawned worker process when
-        # PROTOFED_THREADS > 1; there it must match the in-process run bitwise
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    def test_threads_do_not_change_results(self, monkeypatch):
+        # sweep/ablate run each sub-run in a worker process of the CLI's pool
+        # when PROTOFED_THREADS > 1; there it must match the in-process run
+        # bitwise. The pool runs first, so its workers inherit no finished run.
+        from protofed.cli import _map_subruns
 
+        monkeypatch.setenv("PROTOFED_THREADS", "2")
+        pooled = _map_subruns(run_experiment, [TINY, TINY])
         a = run_experiment(TINY)
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(1, mp_context=context) as pool:
-            b = pool.submit(run_experiment, TINY).result(timeout=120)
-        assert [r.to_json_dict() for r in a.reports] == [r.to_json_dict() for r in b.reports]
-        assert a.final_params.shapes == b.final_params.shapes
-        assert np.array_equal(a.final_params.flat, b.final_params.flat)
+        for b in pooled:
+            assert [r.to_json_dict() for r in a.reports] == [r.to_json_dict() for r in b.reports]
+            assert a.final_params.shapes == b.final_params.shapes
+            assert np.array_equal(a.final_params.flat, b.final_params.flat)
 
     def test_summary_window_caps_at_five(self):
         res = run_experiment(replace(TINY, rounds=7, epochs=1, per_class_count=10))
