@@ -6,7 +6,8 @@ no timestamps, sorted keys, fixed float formatting. Exit codes: 0 success,
 worker processes run the independent sub-runs of a sweep or an ablation
 (default 1: one after another in this process); it never changes results.
 The workers are forked from this process, so a value above 1 needs a
-platform with the fork start method.
+platform with the fork start method. An ablation config that several
+variants share is trained once and its artifacts are copied.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import functools
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from .config import (
     load_config,
     parse_sweep,
     sweep_dir_name,
+    validate_config,
     write_resolved,
 )
 from .datagen import CsvSchema, SampleSet, load_csv, save_csv
@@ -121,6 +124,7 @@ def _sweep_one(base: ExperimentConfig, param: str, out_root: Path, value: float)
     sub_dir = out_root / sweep_dir_name(param, value)
     sub_cfg = dataclasses.replace(base, **{param: value}, out_dir=str(sub_dir))
     try:
+        validate_config(sub_cfg)
         summary = execute_run(sub_cfg, sub_dir).summary
     except Exception as exc:  # record and keep sweeping
         return [param, _fmt(value)] + [""] * (1 + base.num_domains) + [f"error: {exc}"]
@@ -159,34 +163,38 @@ ABLATION_VARIANTS = [
 ]
 
 
-def _ablate_one(entry) -> list[str]:
-    """One ablation.csv row; a failed sub-run raises with its directory name."""
-    group, variant, sub_cfg = entry
-    sub_dir = Path(sub_cfg.out_dir)
+def _ablate_one(item) -> dict:
+    """Train one distinct ablation config into the first of its directories
+    and return its summary. Each other directory gets its own
+    config.resolved.json and byte copies of the rest, so a config repeated
+    across groups is trained once. A failed run raises with the first
+    directory's name."""
+    cfg, dirs = item
     try:
-        summary = execute_run(sub_cfg, sub_dir).summary
+        summary = execute_run(dataclasses.replace(cfg, out_dir=str(dirs[0])), dirs[0]).summary
     except Exception as exc:
-        raise RuntimeError(f"sub-run {sub_dir.name}: {exc}") from exc
-    return [
-        group,
-        variant,
-        str(sub_cfg.gpcl_enabled).lower(),
-        str(sub_cfg.apa_enabled).lower(),
-        sub_cfg.aggregator_mode,
-        sub_cfg.mixup_mode,
-    ] + _summary_row(summary, sub_cfg.num_domains)
+        raise RuntimeError(f"sub-run {dirs[0].name}: {exc}") from exc
+    for sub_dir in dirs[1:]:
+        sub_dir.mkdir(parents=True, exist_ok=True)
+        sub_cfg = dataclasses.replace(cfg, out_dir=str(sub_dir))
+        write_resolved(sub_cfg, sub_dir / "config.resolved.json")
+        for name in ("rounds.jsonl", "summary.json", "model.bin", "prototypes.json"):
+            if (dirs[0] / name).exists():
+                shutil.copyfile(dirs[0] / name, sub_dir / name)
+    return summary
 
 
 def cmd_ablate(args) -> int:
     base = load_config(args.config, seed=args.seed, out_dir=args.out)
     out_root = Path(base.out_dir)
     # validate_config ties no overridden key to another, so every variant of base is valid
-    entries = [
-        (g, v, dataclasses.replace(base, **over, out_dir=str(out_root / f"{g}_{v}")))
-        for g, v, over in ABLATION_VARIANTS
-    ]
+    configs = [dataclasses.replace(base, **over) for _, _, over in ABLATION_VARIANTS]
+    dirs = [out_root / f"{g}_{v}" for g, v, _ in ABLATION_VARIANTS]
+    # each group holds the base's own setting, so the base config recurs
+    distinct = [c for i, c in enumerate(configs) if c not in configs[:i]]
+    items = [(c, [d for d, other in zip(dirs, configs) if other == c]) for c in distinct]
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = _map_subruns(_ablate_one, entries)
+    summaries = _map_subruns(_ablate_one, items)
 
     with open(out_root / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -194,7 +202,12 @@ def cmd_ablate(args) -> int:
             ["group", "variant", "gpcl", "apa", "aggregator", "mixup", "avg_acc_last5"]
             + _acc_columns(base.num_domains)
         )
-        writer.writerows(rows)
+        for (group, variant, _), cfg in zip(ABLATION_VARIANTS, configs):
+            switches = [str(cfg.gpcl_enabled).lower(), str(cfg.apa_enabled).lower()]
+            writer.writerow(
+                [group, variant, *switches, cfg.aggregator_mode, cfg.mixup_mode]
+                + _summary_row(summaries[distinct.index(cfg)], base.num_domains)
+            )
     return 0
 
 

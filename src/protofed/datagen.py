@@ -176,6 +176,8 @@ def partition(
         test_sets[dom] = data.take(perm[:n_test])
         pool = data.take(perm[n_test:])
         n_draw = int(plan.sampling_rate * len(pool))
+        if n_test == 0:
+            raise ValueError(f"domain {dom}: {n} rows leave no test split")
         if n_draw < 1:
             raise ValueError(
                 f"domain {dom}: sampling rate {plan.sampling_rate} yields an empty client"

@@ -1,5 +1,5 @@
-"""Seeded randomness, the norm floor, the squared-distance kernel and the
-batch check shared by every module.
+"""Seeded randomness, the norm floor and the batch check shared by every
+module.
 
 Vectors and matrices are plain float64 numpy arrays throughout the package;
 nothing here wraps them. The RNG is counter-based (Philox) keyed by
@@ -54,23 +54,6 @@ class Rng:
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         return self._gen.choice(n, size=k, replace=False)
-
-
-def _check_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ValueError("expected 1-D vectors")
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return u, v
-
-
-def sq_l2_distance(u, v) -> float:
-    """Squared Euclidean distance sum_i (u_i - v_i)^2."""
-    u, v = _check_pair(u, v)
-    diff = u - v
-    return float(np.dot(diff, diff))
 
 
 def check_batch(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, check_batch, sample_beta, sq_l2_distance
+from .numerics import Rng, check_batch, sample_beta
 
 # Below this total distance the reweighting denominator carries no signal and
 # weights fall back to uniform.
@@ -164,7 +164,7 @@ def reweight(
             raise ValueError(f"class {k} present in client sets but missing from mean")
         clients = np.flatnonzero(present[:, k])
         stacked = vectors[clients, k]
-        dists = np.array([sq_l2_distance(p, mu.vectors[k]) for p in stacked])
+        dists = np.array([np.dot(diff, diff) for diff in stacked - mu.vectors[k]])
         total = float(dists.sum())
         fallback = total < DEGENERATE_DISTANCE
         weights = np.full(len(clients), 1.0 / len(clients)) if fallback else dists / total

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from protofed import cli
 from protofed.cli import _map_subruns, main
 from protofed.config import ExperimentConfig, build_config, load_config, parse_kv_text
 from protofed.datagen import load_csv, save_csv
@@ -180,6 +181,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert _tree(out) == first
 
+    def test_csv_domain_without_test_split_rejected(self, tiny_config, tmp_path, capsys):
+        # 4 rows hold out int(0.2 * 4) = 0 test rows: rejected while the
+        # clients are built, before round 0 trains
+        data_path = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(tiny_config), "--out", str(data_path)]) == 0
+        data = load_csv(data_path)
+        keep = np.concatenate([np.flatnonzero(data.domains == 0),
+                               np.flatnonzero(data.domains == 1)[:4]])
+        save_csv(data.take(keep), data_path)
+        config = tmp_path / "csv.txt"
+        config.write_text(TINY_CONFIG + f"csv_path = {data_path}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="domain 1: 4 rows leave no test split"):
+            build_problem(load_config(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        assert "error: domain 1: 4 rows" in capsys.readouterr().err
+        assert (out / "rounds.jsonl").read_text() == ""
+
 
 class TestSweepCommand:
     def test_tau_sweep_rows(self, tmp_path):
@@ -247,6 +266,20 @@ class TestSweepCommand:
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("error")
 
+    def test_swept_value_validated(self, tmp_path):
+        # a value a config file may not hold is an error row, not a run
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(
+            TINY_CONFIG + "sweep_param = tau\nsweep_values = 0.07, inf\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", "--config", str(sweep), "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["ok", "error: tau must be finite"]
+        assert not (out / "tau_inf").exists()
+
 
 class TestAblateCommand:
     def test_variant_rows(self, tiny_config, tmp_path):
@@ -277,6 +310,30 @@ class TestAblateCommand:
         rw = next(r for r in rows if r["group"] == "aggregator" and r["variant"] == "reweight")
         feat = next(r for r in rows if r["group"] == "mixup" and r["variant"] == "feature")
         assert on_on["avg_acc_last5"] == rw["avg_acc_last5"] == feat["avg_acc_last5"]
+
+    def test_each_distinct_config_trains_once(self, tiny_config, tmp_path, monkeypatch):
+        # every group holds the base's own setting: 9 rows, 7 distinct configs
+        calls = []
+        run_experiment = cli.run_experiment
+
+        def counting(cfg, **kwargs):
+            calls.append(cfg.out_dir)
+            return run_experiment(cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", counting)
+        monkeypatch.setenv("PROTOFED_THREADS", "1")
+        out = tmp_path / "ablate_out"
+        assert main(["ablate", "--config", str(tiny_config), "--out", str(out)]) == 0
+        assert len(calls) == 7
+        base_dirs = [out / name for name in
+                     ("components_gpcl_on_apa_on", "aggregator_reweight", "mixup_feature")]
+        assert calls.count(str(base_dirs[0])) == 1
+        for name in ("rounds.jsonl", "summary.json", "model.bin", "prototypes.json"):
+            first = (base_dirs[0] / name).read_bytes()
+            assert all((d / name).read_bytes() == first for d in base_dirs[1:]), name
+        for d in base_dirs:
+            resolved = json.loads((d / "config.resolved.json").read_text())
+            assert resolved["out_dir"] == str(d)
 
 
 class TestDumpEmbeddings:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protofed.numerics import Rng, sample_beta, sq_l2_distance
+from protofed.numerics import Rng, sample_beta
+from protofed.prototypes import PrototypeSet, reweight
 
 from oracles import cosine_similarity
 
@@ -59,35 +60,41 @@ class TestCosineSimilarity:
         )
 
 
+def reweight_distance(u, v) -> float:
+    """The squared L2 distance reweight() measures from one client's
+    prototype u to the class mean v."""
+    def one_class(vec):
+        return PrototypeSet(np.array([vec], dtype=np.float64), np.array([1]))
+
+    _, report = reweight([one_class(u)], one_class(v))
+    return report.per_class[0].distances[0]
+
+
 class TestSqL2Distance:
     def test_zero_on_equal(self):
         u = np.array([1.5, -2.0, 7.0])
-        assert sq_l2_distance(u, u) == 0.0
+        assert reweight_distance(u, u) == 0.0
 
     def test_three_four_five(self):
-        assert sq_l2_distance([0, 0], [3, 4]) == pytest.approx(25.0, abs=0)
+        assert reweight_distance([0, 0], [3, 4]) == pytest.approx(25.0, abs=0)
 
     def test_ones(self):
-        assert sq_l2_distance([1, 1, 1], [2, 2, 2]) == pytest.approx(3.0, abs=1e-12)
+        assert reweight_distance([1, 1, 1], [2, 2, 2]) == pytest.approx(3.0, abs=1e-12)
 
     def test_componentwise_oracle(self):
         rng = np.random.default_rng(3)
         u, v = rng.normal(size=8), rng.normal(size=8)
         naive = sum((a - b) ** 2 for a, b in zip(u, v))
-        assert sq_l2_distance(u, v) == pytest.approx(naive, rel=1e-12)
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            sq_l2_distance([1], [1, 2])
+        assert reweight_distance(u, v) == pytest.approx(naive, rel=1e-12)
 
     @given(finite_vec)
     @settings(max_examples=60)
     def test_symmetry_nonnegativity(self, values):
         u = np.array(values)
         v = u[::-1].copy()
-        d = sq_l2_distance(u, v)
+        d = reweight_distance(u, v)
         assert d >= 0.0
-        assert d == sq_l2_distance(v, u)
+        assert d == reweight_distance(v, u)
 
 
 class TestRng:
