@@ -31,7 +31,7 @@ from .model import (
     save_params,
     sgd_step,
 )
-from .numerics import Rng, sample_beta
+from .numerics import keyed_rng, sample_beta
 from .prototypes import (
     PrototypeSet,
     ReweightReport,

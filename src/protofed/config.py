@@ -127,6 +127,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     )
     check(len(cfg.arch) >= 2, "arch needs at least input and feature widths")
     check(all(w >= 1 for w in cfg.arch), "arch widths must be positive")
+    # at feature width 1 every cosine similarity is +-1, so GPCL is degenerate
+    check(len(cfg.arch) < 2 or cfg.arch[-1] >= 2, "arch feature width (last entry) must be >= 2")
     check(cfg.num_classes >= 2, "num_classes must be >= 2")
     check(cfg.num_domains >= 1, "num_domains must be >= 1")
     check(cfg.per_class_count >= 1, "per_class_count must be >= 1")

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng
-
 TEST_FRACTION = 0.2
 
 
@@ -82,7 +80,7 @@ def identity_spec(input_dim: int, noise_sigma: float) -> DomainSpec:
 def default_domain_specs(
     num_domains: int,
     input_dim: int,
-    rng: Rng,
+    rng: np.random.Generator,
     noise_sigma: float = 0.3,
     shift: float = 1.0,
 ) -> list[DomainSpec]:
@@ -93,7 +91,7 @@ def default_domain_specs(
     for _ in range(1, num_domains):
         angles = rng.uniform(-math.pi / 5, math.pi / 5, size=n_pairs) * shift
         scales = np.exp(rng.uniform(-0.25, 0.25, size=input_dim) * shift)
-        bias = rng.normal(size=input_dim) * (0.8 * shift / math.sqrt(input_dim))
+        bias = rng.standard_normal(input_dim) * (0.8 * shift / math.sqrt(input_dim))
         specs.append(DomainSpec(angles, scales, bias, noise_sigma))
     return specs
 
@@ -103,7 +101,7 @@ def make_domains(
     num_domains: int,
     input_dim: int,
     per_class_count: int,
-    rng: Rng,
+    rng: np.random.Generator,
     noise_sigma: float = 0.3,
     anchor_scale: float = 2.0,
     shift: float = 1.0,
@@ -120,7 +118,7 @@ def make_domains(
     if per_class_count < 1:
         raise ValueError("need at least 1 sample per class")
 
-    anchors = rng.normal(size=(num_classes, input_dim)) * anchor_scale
+    anchors = rng.standard_normal((num_classes, input_dim)) * anchor_scale
     specs = default_domain_specs(num_domains, input_dim, rng, noise_sigma, shift)
 
     out: dict[int, SampleSet] = {}
@@ -129,7 +127,7 @@ def make_domains(
         labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class_count)
         x = spec.transform(centered)
         if spec.noise_sigma > 0:
-            x = x + spec.noise_sigma * rng.normal(size=x.shape)
+            x = x + spec.noise_sigma * rng.standard_normal(x.shape)
         out[dom] = SampleSet(x, labels, np.full(len(labels), dom, dtype=np.int64))
     return out
 
@@ -156,7 +154,7 @@ class ClientSplit:
 
 
 def partition(
-    domain_data: dict[int, SampleSet], plan: PartitionPlan, rng: Rng
+    domain_data: dict[int, SampleSet], plan: PartitionPlan, rng: np.random.Generator
 ) -> tuple[list[ClientSplit], dict[int, SampleSet]]:
     """Hold out the test fraction of each domain, then let each client draw
     floor(rate * pool) samples from its domain's training pool without
@@ -183,7 +181,7 @@ def partition(
                 f"domain {dom}: sampling rate {plan.sampling_rate} yields an empty client"
             )
         for _ in range(plan.clients_per_domain[dom]):
-            idx = rng.choice_without_replacement(len(pool), n_draw)
+            idx = rng.choice(len(pool), n_draw, replace=False)
             clients.append(ClientSplit(client_id, dom, pool.take(np.sort(idx))))
             client_id += 1
     return clients, test_sets

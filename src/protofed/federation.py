@@ -44,7 +44,7 @@ from .losses import (
     GpclTargets, LossBreakdown, apa_loss, cross_entropy, gpcl_loss, gpcl_targets, total_loss
 )
 from .model import ModelParams, backward, forward, init_params, sgd_step
-from .numerics import STREAM_DATA, STREAM_INIT, Rng
+from .numerics import STREAM_DATA, STREAM_INIT, keyed_rng
 from .prototypes import (
     PrototypeSet,
     average_prototypes,
@@ -69,7 +69,7 @@ MAX_STEP_CE = 1e6
 class ClientState:
     client_id: int
     data: SampleSet
-    rng: Rng
+    rng: np.random.Generator
 
 
 @dataclass
@@ -113,7 +113,7 @@ def _apa_targets(
     features: np.ndarray,
     xb: np.ndarray,
     yb: np.ndarray,
-    rngs: list[Rng],
+    rngs: list[np.random.Generator],
     cfg: ExperimentConfig,
 ) -> PrototypeSet:
     """Per-batch augmented prototypes of every client in a stacked block,
@@ -331,7 +331,7 @@ def run_round(
     return ServerState(server.round + 1, new_global, generalized), report
 
 
-def synthetic_domains(cfg: ExperimentConfig, rng: Rng) -> dict[int, SampleSet]:
+def synthetic_domains(cfg: ExperimentConfig, rng: np.random.Generator) -> dict[int, SampleSet]:
     """The configured synthetic domains, drawn from rng (the seed's data
     stream); build_problem and the gen-data command share this data step."""
     return make_domains(
@@ -350,7 +350,7 @@ def build_problem(
     cfg: ExperimentConfig,
 ) -> tuple[list[ClientState], dict[int, SampleSet], ModelParams]:
     """Materialize data, splits, initial model and per-client RNG streams."""
-    rng_data = Rng(cfg.seed, STREAM_DATA)
+    rng_data = keyed_rng(cfg.seed, STREAM_DATA)
     if cfg.csv_path:
         schema = CsvSchema(cfg.input_dim, cfg.num_classes, cfg.num_domains)
         domain_data = split_by_domain(load_csv(cfg.csv_path, schema))
@@ -361,9 +361,9 @@ def build_problem(
         cfg.sampling_rate,
     )
     splits, test_sets = partition(domain_data, plan, rng_data)
-    theta0 = init_params(Rng(cfg.seed, STREAM_INIT), list(cfg.arch), cfg.num_classes)
+    theta0 = init_params(keyed_rng(cfg.seed, STREAM_INIT), list(cfg.arch), cfg.num_classes)
     clients = [
-        ClientState(s.client_id, s.data, Rng(cfg.seed, s.client_id))
+        ClientState(s.client_id, s.data, keyed_rng(cfg.seed, s.client_id))
         for s in splits
     ]
     return clients, test_sets, theta0

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Rng
-
 _MAGIC = b"PFLM"
 _VERSION = 1
 
@@ -105,7 +103,7 @@ class ForwardTrace:
     logits_2d: np.ndarray = None
 
 
-def init_params(rng: Rng, arch: list[int], num_classes: int) -> ModelParams:
+def init_params(rng: np.random.Generator, arch: list[int], num_classes: int) -> ModelParams:
     """Glorot-uniform weights, zero biases.
 
     arch lists the layer widths input -> hidden... -> feature_dim; it needs at

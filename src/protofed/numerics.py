@@ -2,9 +2,10 @@
 module.
 
 Vectors and matrices are plain float64 numpy arrays throughout the package;
-nothing here wraps them. The RNG is counter-based (Philox) keyed by
-(seed, stream) so that per-client streams stay independent and bitwise
-reproducible regardless of how client work is scheduled.
+nothing here wraps them. Draws come from numpy Generators over the
+counter-based Philox, keyed by (seed, stream) so that per-client streams
+stay independent and bitwise reproducible regardless of how client work is
+scheduled.
 """
 
 from __future__ import annotations
@@ -20,40 +21,15 @@ STREAM_DATA = 2**32
 STREAM_INIT = 2**32 + 1
 
 
-class Rng:
-    """Deterministic random source keyed by (seed, stream).
-
-    Distinct (seed, stream) pairs give independent sequences; an identical
-    pair with an identical call sequence reproduces identical draws. Instances
-    are single-owner: never share one across concurrent tasks.
-    """
-
-    def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
-            raise ValueError("seed and stream must be nonnegative")
-        self.seed = int(seed)
-        self.stream = int(stream)
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def __repr__(self) -> str:
-        return f"Rng(seed={self.seed}, stream={self.stream})"
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, size=None):
-        return self._gen.standard_normal(size)
-
-    def integers(self, high: int, size=None):
-        """Draw from [0, high)."""
-        return self._gen.integers(0, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
-        return self._gen.choice(n, size=k, replace=False)
+def keyed_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """A Philox Generator keyed by (seed, stream). Distinct pairs give
+    independent sequences; an identical pair with an identical call sequence
+    reproduces identical draws. Generators are single-owner: never share one
+    across concurrent tasks."""
+    if seed < 0 or stream < 0:
+        raise ValueError("seed and stream must be nonnegative")
+    key = np.array([int(seed), int(stream)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def check_batch(
@@ -74,10 +50,10 @@ def check_batch(
     return a, y
 
 
-def sample_beta(rng: Rng, alpha: float, size=None):
+def sample_beta(rng: np.random.Generator, alpha: float, size=None):
     """Draws from the symmetric Beta(alpha, alpha): one float, or an array
     of the given size, clamped to the open interval (0, 1). For small alpha
     numpy's draws can be exactly 1.0 (about 8% of them at alpha = 0.05)."""
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
-    return np.clip(rng._gen.beta(alpha, alpha, size), 5e-324, 1.0 - 2**-53)
+    return np.clip(rng.beta(alpha, alpha, size), 5e-324, 1.0 - 2**-53)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, check_batch, sample_beta
+from .numerics import check_batch, sample_beta
 
 # Below this total distance the reweighting denominator carries no signal and
 # weights fall back to uniform.
@@ -68,29 +68,24 @@ def local_prototypes(features, labels, num_classes: int) -> PrototypeSet:
     batches, (G, N, d) with (G, N), and returns the matching (K, d) or
     (G, K, d) set. Each class's rows are summed in row order through one
     padded (G, K, max_count, d) array whose unused slots hold -0.0, the
-    exact additive identity, so the padding changes no sum: the result is
-    bitwise ``h[y == k].mean(axis=0)``. numpy sums a single column
-    pairwise, not row by row, so with d = 1 each class is summed alone.
+    exact additive identity, so the padding changes no sum: for d >= 2 the
+    result is bitwise ``h[y == k].mean(axis=0)``. (numpy sums a single
+    column pairwise, not row by row; validate_config rejects d = 1.)
     """
     h, y = check_batch(features, labels, num_classes)
     hs, ys = (h, y) if h.ndim == 3 else (h[None], y[None])
     ranks = np.cumsum(ys[..., None] == np.arange(num_classes), axis=1)
     counts = ranks[:, -1]  # (G, K)
-    if h.shape[-1] == 1:
-        sums = np.zeros(counts.shape + (1,))
-        for g, k in zip(*np.nonzero(counts)):
-            sums[g, k] = hs[g][ys[g] == k].sum(axis=0)
-    else:
-        padded = np.full(counts.shape + (counts.max(), h.shape[-1]), -0.0)
-        rank = np.take_along_axis(ranks, ys[..., None], axis=2)[..., 0] - 1
-        padded[np.arange(len(ys))[:, None], ys, rank] = hs
-        sums = padded.sum(axis=2)
+    padded = np.full(counts.shape + (counts.max(), h.shape[-1]), -0.0)
+    rank = np.take_along_axis(ranks, ys[..., None], axis=2)[..., 0] - 1
+    padded[np.arange(len(ys))[:, None], ys, rank] = hs
+    sums = padded.sum(axis=2)
     present = counts[..., None] > 0
     vectors = np.divide(sums, counts[..., None], out=np.zeros_like(sums), where=present)
     return PrototypeSet(vectors, counts) if h.ndim == 3 else PrototypeSet(vectors[0], counts[0])
 
 
-def mixup_pairs(labels, rng: Rng, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def mixup_pairs(labels, rng: np.random.Generator, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Draw (gamma, partner index) for every sample in row order.
 
     The partner is uniform over the samples with a different label. The

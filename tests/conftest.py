@@ -12,7 +12,7 @@ import pytest
 
 from protofed.config import load_config
 from protofed.federation import run_experiment
-from protofed.numerics import Rng, sample_beta
+from protofed.numerics import keyed_rng, sample_beta
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -30,7 +30,7 @@ def beta_draws():
 
     def get(alpha: float, n: int = 1_000_000) -> np.ndarray:
         if alpha not in cache:
-            cache[alpha] = sample_beta(Rng(123, 7), alpha, n)
+            cache[alpha] = sample_beta(keyed_rng(123, 7), alpha, n)
         return cache[alpha]
 
     return get

@@ -32,7 +32,7 @@ from protofed.model import (
     params_from_layers,
     sgd_step,
 )
-from protofed.numerics import EPS_NORM, STREAM_DATA, STREAM_INIT, Rng
+from protofed.numerics import EPS_NORM, STREAM_DATA, STREAM_INIT, keyed_rng
 from protofed.prototypes import PrototypeSet
 
 
@@ -371,7 +371,7 @@ def naive_fedavg_loop(cfg: ExperimentConfig) -> list[RoundReport]:
     reuses the library's model/data primitives so the degenerate federation
     mode must match it bitwise.
     """
-    rng_data = Rng(cfg.seed, STREAM_DATA)
+    rng_data = keyed_rng(cfg.seed, STREAM_DATA)
     domain_data = make_domains(
         cfg.num_classes,
         cfg.num_domains,
@@ -387,8 +387,8 @@ def naive_fedavg_loop(cfg: ExperimentConfig) -> list[RoundReport]:
         cfg.sampling_rate,
     )
     splits, test_sets = partition(domain_data, plan, rng_data)
-    global_params = init_params(Rng(cfg.seed, STREAM_INIT), list(cfg.arch), cfg.num_classes)
-    client_rngs = {s.client_id: Rng(cfg.seed, s.client_id) for s in splits}
+    global_params = init_params(keyed_rng(cfg.seed, STREAM_INIT), list(cfg.arch), cfg.num_classes)
+    client_rngs = {s.client_id: keyed_rng(cfg.seed, s.client_id) for s in splits}
 
     reports = []
     for round_idx in range(cfg.rounds):

@@ -16,7 +16,7 @@ from protofed.config import ExperimentConfig
 from protofed.federation import run_experiment
 from protofed.losses import cross_entropy, gpcl_targets
 from protofed.model import ModelParams, forward, init_params, params_from_layers
-from protofed.numerics import Rng
+from protofed.numerics import keyed_rng
 from protofed.prototypes import PrototypeSet, average_prototypes, ema_update, reweight
 
 from conftest import SKEWED_VARIANT
@@ -157,7 +157,7 @@ def _model_instance(seed):
     """4-2-3, K=2 model with jittered biases so no feature norm collapses."""
     rng = np.random.default_rng(seed)
     for attempt in range(20):
-        params = init_params(Rng(seed * 37 + attempt, 1000), [4, 2, 3], 2)
+        params = init_params(keyed_rng(seed * 37 + attempt, 1000), [4, 2, 3], 2)
         layers = [(w, b + 0.2 * rng.normal(size=b.shape)) for w, b in params.extractor]
         layers.append((params.classifier[0], params.classifier[1] + 0.2 * rng.normal(size=2)))
         params = params_from_layers(layers)

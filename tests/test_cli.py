@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 import re
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from protofed.config import ExperimentConfig, build_config, load_config, parse_k
 from protofed.datagen import load_csv, save_csv
 from protofed.federation import build_problem
 from protofed.model import ModelParams, save_params
-from protofed.numerics import Rng
+from protofed.numerics import keyed_rng
 
 TINY_CONFIG = """
 # tiny experiment for CLI tests
@@ -109,6 +112,13 @@ class TestRunCommand:
             assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, line
             key = line.split(" = ")[0]
             assert f"config error: {key} must be" in capsys.readouterr().err
+
+    def test_feature_width_one_exits_2(self, tmp_path, capsys):
+        # at feature width 1 every cosine similarity is +-1: GPCL is degenerate
+        bad = tmp_path / "bad.txt"
+        bad.write_text(TINY_CONFIG.replace("arch = 8, 12, 6", "arch = 8, 1"), encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: arch feature width" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # the last two are removed keys: a config that still sets one must
@@ -348,7 +358,7 @@ class TestDumpEmbeddings:
         data_path = self._write_data(tmp_path)
         from protofed.model import init_params
 
-        params = init_params(Rng(0, 9), [16, 32, 16], 4)
+        params = init_params(keyed_rng(0, 9), [16, 32, 16], 4)
         ckpt = tmp_path / "model.bin"
         save_params(params, ckpt)
         out_path = tmp_path / "embed.csv"
@@ -380,7 +390,7 @@ class TestDumpEmbeddings:
         data_path = self._write_data(tmp_path)
         from protofed.model import init_params
 
-        params = init_params(Rng(0, 9), [8, 4], 2)
+        params = init_params(keyed_rng(0, 9), [8, 4], 2)
         ckpt = tmp_path / "model.bin"
         save_params(params, ckpt)
         code = main([
@@ -484,6 +494,24 @@ class TestThreadsEnv:
         assert "PROTOFED_THREADS" in err and "fork" in err
         monkeypatch.setenv("PROTOFED_THREADS", "1")
         assert main(argv) == 0
+
+    def test_diverging_run_prints_only_its_error(self, tmp_path):
+        # numpy's overflow and invalid-value warnings are silenced, in forked
+        # workers too, so stderr holds the one-line error and nothing else
+        config = tmp_path / "diverge.txt"
+        config.write_text(TINY_CONFIG + "weight_decay = 1e300\n", encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        where = "round 0, client 0, local step 1: ce loss is nan"
+        cases = [("run", "1", f"error: {where}\n")] + [
+            ("ablate", threads, f"error: sub-run components_gpcl_off_apa_off: {where}\n")
+            for threads in ("1", "2")
+        ]
+        for command, threads, want in cases:
+            env = dict(os.environ, PYTHONPATH=src, PROTOFED_THREADS=threads)
+            argv = [sys.executable, "-m", "protofed", command, "--config", str(config)]
+            argv += ["--out", str(tmp_path / f"{command}{threads}")]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (3, want), (command, threads)
 
     def test_workers_fork_from_this_process(self, monkeypatch):
         # a forked worker sees state set here at run time; a spawned one would

@@ -13,13 +13,13 @@ from protofed.datagen import (
     save_csv,
     split_by_domain,
 )
-from protofed.numerics import Rng
+from protofed.numerics import keyed_rng
 
 
 def gen(seed=0, **kw):
     args = dict(num_classes=5, num_domains=4, input_dim=16, per_class_count=200)
     args.update(kw)
-    return make_domains(rng=Rng(seed, 0), **args)
+    return make_domains(rng=keyed_rng(seed, 0), **args)
 
 
 class TestMakeDomains:
@@ -72,14 +72,14 @@ class TestMakeDomains:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            default_domain_specs(2, 8, Rng(0, 0), noise_sigma=-1.0)
+            default_domain_specs(2, 8, keyed_rng(0, 0), noise_sigma=-1.0)
 
 
 class TestPartition:
     def test_unequal_allocation(self):
         data = gen(per_class_count=50)
         plan = PartitionPlan({0: 6, 1: 4, 2: 3, 3: 7}, sampling_rate=1.0)
-        clients, tests = partition(data, plan, Rng(1, 0))
+        clients, tests = partition(data, plan, keyed_rng(1, 0))
         assert len(clients) == 20
         got = {}
         for c in clients:
@@ -91,14 +91,14 @@ class TestPartition:
         # training pool of exactly 1000 per domain: 1250 raw - 20% test
         data = gen(num_classes=5, per_class_count=250, num_domains=2)
         plan = PartitionPlan({0: 3, 1: 2}, sampling_rate=0.2)
-        clients, _ = partition(data, plan, Rng(2, 0))
+        clients, _ = partition(data, plan, keyed_rng(2, 0))
         for c in clients:
             assert len(c.data) == 200
 
     def test_train_test_disjoint(self):
         data = gen(per_class_count=40)
         plan = PartitionPlan({d: 2 for d in range(4)}, sampling_rate=0.5)
-        clients, tests = partition(data, plan, Rng(3, 0))
+        clients, tests = partition(data, plan, keyed_rng(3, 0))
         for c in clients:
             test_rows = {tuple(row) for row in tests[c.domain].x}
             for row in c.data.x:
@@ -107,8 +107,8 @@ class TestPartition:
     def test_deterministic(self):
         data = gen(per_class_count=40)
         plan = PartitionPlan({d: 2 for d in range(4)}, sampling_rate=0.5)
-        a, _ = partition(data, plan, Rng(4, 0))
-        b, _ = partition(data, plan, Rng(4, 0))
+        a, _ = partition(data, plan, keyed_rng(4, 0))
+        b, _ = partition(data, plan, keyed_rng(4, 0))
         for ca, cb in zip(a, b):
             assert ca.client_id == cb.client_id
             assert np.array_equal(ca.data.x, cb.data.x)
@@ -116,7 +116,7 @@ class TestPartition:
     def test_client_ids_sequential(self):
         data = gen(per_class_count=20)
         plan = PartitionPlan({0: 2, 1: 1, 2: 1, 3: 2}, sampling_rate=0.5)
-        clients, _ = partition(data, plan, Rng(5, 0))
+        clients, _ = partition(data, plan, keyed_rng(5, 0))
         assert [c.client_id for c in clients] == list(range(6))
 
     def test_empty_allocation_rejected(self):
@@ -131,7 +131,7 @@ class TestPartition:
         data = gen(num_domains=2, per_class_count=10)
         plan = PartitionPlan({0: 1, 5: 1}, sampling_rate=0.5)
         with pytest.raises(ValueError):
-            partition(data, plan, Rng(6, 0))
+            partition(data, plan, keyed_rng(6, 0))
 
 
 class TestCsv:

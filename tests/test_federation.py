@@ -16,7 +16,7 @@ from protofed.federation import (
     run_round,
 )
 from protofed.model import ModelParams, forward, init_params, params_from_layers
-from protofed.numerics import Rng
+from protofed.numerics import keyed_rng
 
 TINY = ExperimentConfig(
     rounds=2,
@@ -31,12 +31,12 @@ TINY = ExperimentConfig(
 
 
 def toy_client(seed=0, k=2, dim=8, per_class=60, domain=0):
-    data = make_domains(k, 2, dim, per_class, Rng(seed, 50), noise_sigma=0.2)[domain]
-    return ClientState(0, data, Rng(seed, 0))
+    data = make_domains(k, 2, dim, per_class, keyed_rng(seed, 50), noise_sigma=0.2)[domain]
+    return ClientState(0, data, keyed_rng(seed, 0))
 
 
 def toy_params(seed=0, k=2, dim=8):
-    return init_params(Rng(seed, 51), [dim, 12, 6], k)
+    return init_params(keyed_rng(seed, 51), [dim, 12, 6], k)
 
 
 def solo_update(client, global_params, generalized, cfg):
@@ -94,12 +94,12 @@ class TestLocalUpdate:
 
 class TestAggregateParams:
     def test_single_client_identity(self):
-        p = init_params(Rng(0, 0), [4, 3], 2)
+        p = init_params(keyed_rng(0, 0), [4, 3], 2)
         out = aggregate_params([p], [7])
         assert out.shapes == p.shapes and np.array_equal(p.flat, out.flat)
 
     def test_opposite_params_cancel(self):
-        p = init_params(Rng(1, 0), [4, 3], 2)
+        p = init_params(keyed_rng(1, 0), [4, 3], 2)
         neg = ModelParams(-p.flat, p.shapes)
         out = aggregate_params([p, neg], [5, 5])
         assert np.allclose(out.flat, 0.0, atol=1e-18)
@@ -111,14 +111,14 @@ class TestAggregateParams:
         assert out.extractor[0][0][0, 0] == pytest.approx(3.0, abs=0)
 
     def test_equal_counts_is_mean(self):
-        ps = [init_params(Rng(s, 0), [4, 3], 2) for s in range(4)]
+        ps = [init_params(keyed_rng(s, 0), [4, 3], 2) for s in range(4)]
         out = aggregate_params(ps, [5, 5, 5, 5])
         mean = np.mean([p.flat for p in ps], axis=0)
         assert np.allclose(out.flat, mean, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        a = init_params(Rng(0, 0), [4, 3], 2)
-        b = init_params(Rng(0, 0), [4, 4], 2)
+        a = init_params(keyed_rng(0, 0), [4, 3], 2)
+        b = init_params(keyed_rng(0, 0), [4, 4], 2)
         with pytest.raises(ValueError):
             aggregate_params([a, b], [1, 1])
         # same parameter count, different layer shapes
@@ -128,7 +128,7 @@ class TestAggregateParams:
             aggregate_params([c, d], [1, 1])
 
     def test_bad_counts_rejected(self):
-        p = init_params(Rng(0, 0), [4, 3], 2)
+        p = init_params(keyed_rng(0, 0), [4, 3], 2)
         with pytest.raises(ValueError):
             aggregate_params([p], [0])
         with pytest.raises(ValueError):
@@ -137,32 +137,32 @@ class TestAggregateParams:
 
 class TestEvaluate:
     def test_tie_break_lowest_index(self):
-        data = make_domains(2, 1, 8, 20, Rng(0, 52), noise_sigma=0.1)[0]
+        data = make_domains(2, 1, 8, 20, keyed_rng(0, 52), noise_sigma=0.1)[0]
         zero = ModelParams(np.zeros(4 * 8 + 4 + 2 * 4 + 2), [(4, 8), (2, 4)])
         out = evaluate(zero, {0: data})
         # constant logits predict class 0 everywhere; labels are balanced
         assert out.per_domain_accuracy[0] == pytest.approx(0.5, abs=0)
 
     def test_perfect_model_scores_one(self):
-        data = make_domains(3, 1, 8, 20, Rng(1, 52), noise_sigma=0.1)[0]
-        params = init_params(Rng(2, 52), [8, 16, 8], 3)
+        data = make_domains(3, 1, 8, 20, keyed_rng(1, 52), noise_sigma=0.1)[0]
+        params = init_params(keyed_rng(2, 52), [8, 16, 8], 3)
         preds = np.argmax(forward(params, data.x).logits_2d, axis=1)
         relabeled = replace_labels(data, preds)
         out = evaluate(params, {0: relabeled})
         assert out.per_domain_accuracy[0] == 1.0
 
     def test_chance_level_for_random_models(self):
-        data = make_domains(5, 4, 16, 50, Rng(3, 52))
+        data = make_domains(5, 4, 16, 50, keyed_rng(3, 52))
         accs = []
         for s in range(20):
-            params = init_params(Rng(s, 53), [16, 32, 16], 5)
+            params = init_params(keyed_rng(s, 53), [16, 32, 16], 5)
             accs.append(evaluate(params, data).average_accuracy)
         assert abs(np.mean(accs) - 0.2) < 0.05
 
     def test_empty_test_set_rejected(self):
-        data = make_domains(2, 1, 8, 5, Rng(0, 52))[0]
+        data = make_domains(2, 1, 8, 5, keyed_rng(0, 52))[0]
         with pytest.raises(ValueError):
-            evaluate(init_params(Rng(0, 0), [8, 4], 2), {0: data.take(np.array([], dtype=int))})
+            evaluate(init_params(keyed_rng(0, 0), [8, 4], 2), {0: data.take(np.array([], dtype=int))})
 
 
 def replace_labels(data, labels):
@@ -267,16 +267,16 @@ class TestNaiveLoopStructure:
         reports = naive_fedavg_loop(cfg)
 
         # centralized reference: continuous SGD on the single client's data
-        rng_data = Rng(cfg.seed, STREAM_DATA)
+        rng_data = keyed_rng(cfg.seed, STREAM_DATA)
         domain_data = make_domains(
             cfg.num_classes, 1, cfg.input_dim, cfg.per_class_count, rng_data,
             noise_sigma=cfg.data_noise, anchor_scale=cfg.data_anchor_scale,
             shift=cfg.data_shift,
         )
         splits, test_sets = partition(domain_data, Plan({0: 1}, cfg.sampling_rate), rng_data)
-        params = init_params(Rng(cfg.seed, STREAM_INIT), list(cfg.arch), cfg.num_classes)
+        params = init_params(keyed_rng(cfg.seed, STREAM_INIT), list(cfg.arch), cfg.num_classes)
         data = splits[0].data
-        client_rng = Rng(cfg.seed, 0)
+        client_rng = keyed_rng(cfg.seed, 0)
         n, bs = len(data), min(cfg.batch_size, len(data))
         for round_idx in range(cfg.rounds):
             for _ in range(cfg.epochs):
@@ -294,8 +294,8 @@ class TestNaiveLoopStructure:
     def test_equal_clients_aggregate_to_their_solo_update(self):
         cfg = replace(TINY, num_classes=2)
         base, params = toy_client(seed=5), toy_params(seed=5)
-        twin_a = ClientState(0, base.data, Rng(5, 0))
-        twin_b = ClientState(1, base.data, Rng(5, 0))
+        twin_a = ClientState(0, base.data, keyed_rng(5, 0))
+        twin_b = ClientState(1, base.data, keyed_rng(5, 0))
         res_a, res_b = local_updates([twin_a, twin_b], params, None, cfg)
         assert np.array_equal(res_a.params.flat, res_b.params.flat)
         merged = aggregate_params([res_a.params, res_b.params], [len(base.data)] * 2)
@@ -398,7 +398,7 @@ class TestLockstep:
         ):
             clients, theta0 = _fresh_clients(cfg, sizes)
             for c, position in ((clients[i], position) for i, position in fails):
-                row = Rng(cfg.seed, c.client_id).permutation(len(c.data))[position]
+                row = keyed_rng(cfg.seed, c.client_id).permutation(len(c.data))[position]
                 c.data.x[row] = np.nan
             match = r"^client 1, local step 1: ce loss is nan$"
             with pytest.raises(FloatingPointError, match=match):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from protofed.losses import _cosine_matrix, apa_loss, gpcl_loss, gpcl_targets
-from protofed.numerics import Rng
+from protofed.numerics import keyed_rng
 from protofed.prototypes import PrototypeSet, local_prototypes, mix_rows, mixup_pairs
 
 from oracles import (
@@ -58,10 +58,9 @@ def one(pset: PrototypeSet, g: int) -> PrototypeSet:
 
 # (groups, batch, dim, classes): a group of one; the interleaved sizes of
 # TestLockstep (five full batches of 8); its ragged sizes (four batches of 8,
-# two of 7, a batch of one, a batch of 5); feature width 1, where numpy sums
-# a column pairwise once a class has more than 8 rows; the benchmark's shape
-# (8 clients, B = 32, d = K = 8); and whole datasets, as at the end of a
-# local update
+# two of 7, a batch of one, a batch of 5); the benchmark's shape (8 clients,
+# B = 32, d = K = 8); and whole datasets, as at the end of a local update.
+# Feature width 1 is left out: validate_config rejects it.
 SHAPES = [
     (1, 8, 6, 3),
     (5, 8, 6, 3),
@@ -70,8 +69,6 @@ SHAPES = [
     (1, 1, 6, 3),
     (1, 5, 6, 3),
     (3, 1, 4, 2),
-    (2, 7, 1, 3),
-    (2, 60, 1, 3),
     (8, 32, 8, 8),
     (3, 300, 8, 5),
 ]
@@ -133,7 +130,7 @@ class TestGroupTerms:
 
     def test_mix_rows_matches_each_client(self, groups, batch, dim, k, seed):
         h, y, _ = group_instance(seed, groups, batch, dim, k)
-        pairs = [mixup_pairs(y[g], Rng(seed, g), 0.4) for g in range(groups)]
+        pairs = [mixup_pairs(y[g], keyed_rng(seed, g), 0.4) for g in range(groups)]
         gammas = np.stack([gam for gam, _ in pairs])
         partners = np.stack([par for _, par in pairs])
         mixed = mix_rows(h, gammas, partners)

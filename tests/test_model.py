@@ -15,7 +15,7 @@ from protofed.model import (
     save_params,
     sgd_step,
 )
-from protofed.numerics import Rng
+from protofed.numerics import keyed_rng
 
 from oracles import (
     DictPrototypeSet,
@@ -28,7 +28,7 @@ from oracles import (
 
 
 def small_model(seed=0, arch=(4, 2, 3), k=2):
-    return init_params(Rng(seed, 1000), list(arch), k)
+    return init_params(keyed_rng(seed, 1000), list(arch), k)
 
 
 def zeros_like(p: ModelParams) -> ModelParams:
@@ -37,35 +37,35 @@ def zeros_like(p: ModelParams) -> ModelParams:
 
 class TestInit:
     def test_shapes(self):
-        p = init_params(Rng(0, 0), [4, 8, 3], 2)
+        p = init_params(keyed_rng(0, 0), [4, 8, 3], 2)
         assert [w.shape for w, _ in p.extractor] == [(8, 4), (3, 8)]
         assert p.classifier[0].shape == (2, 3)
         assert p.input_dim == 4 and p.feature_dim == 3 and p.num_classes == 2
 
     def test_biases_zero(self):
-        p = init_params(Rng(7, 0), [5, 6, 4], 3)
+        p = init_params(keyed_rng(7, 0), [5, 6, 4], 3)
         for _, b in p.extractor:
             assert np.all(b == 0.0)
         assert np.all(p.classifier[1] == 0.0)
 
     def test_deterministic(self):
-        a = init_params(Rng(3, 2), [4, 4], 2)
-        b = init_params(Rng(3, 2), [4, 4], 2)
+        a = init_params(keyed_rng(3, 2), [4, 4], 2)
+        b = init_params(keyed_rng(3, 2), [4, 4], 2)
         assert np.array_equal(a.flat, b.flat)
 
     def test_glorot_bounds(self):
-        p = init_params(Rng(1, 0), [10, 20], 2)
+        p = init_params(keyed_rng(1, 0), [10, 20], 2)
         w = p.extractor[0][0]
         limit = np.sqrt(6.0 / (10 + 20))
         assert np.all(np.abs(w) <= limit)
 
     def test_bad_arch(self):
         with pytest.raises(ValueError):
-            init_params(Rng(0, 0), [], 2)
+            init_params(keyed_rng(0, 0), [], 2)
         with pytest.raises(ValueError):
-            init_params(Rng(0, 0), [4], 2)
+            init_params(keyed_rng(0, 0), [4], 2)
         with pytest.raises(ValueError):
-            init_params(Rng(0, 0), [4, 3], 1)
+            init_params(keyed_rng(0, 0), [4, 3], 1)
 
 
 class TestForward:
@@ -208,7 +208,7 @@ class TestSgdStep:
 
 class TestSerialization:
     def test_roundtrip_bitwise(self, tmp_path):
-        p = init_params(Rng(17, 0), [6, 5, 4], 3)
+        p = init_params(keyed_rng(17, 0), [6, 5, 4], 3)
         path = tmp_path / "model.bin"
         save_params(p, path)
         q = load_params(path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protofed.numerics import Rng
+from protofed.numerics import keyed_rng
 from protofed.prototypes import (
     PrototypeSet,
     average_prototypes,
@@ -103,7 +103,7 @@ class TestAugmentedPrototypes:
     def test_single_class_pool_falls_back(self):
         h = np.random.default_rng(1).normal(size=(6, 4))
         y = np.zeros(6, dtype=int)
-        out = mixed_prototypes(h, y, Rng(0, 0), 0.4)
+        out = mixed_prototypes(h, y, keyed_rng(0, 0), 0.4)
         ref = local_prototypes(h, y, 1)
         assert np.array_equal(out.vectors[0], ref.vectors[0])
 
@@ -111,7 +111,7 @@ class TestAugmentedPrototypes:
         rng = np.random.default_rng(2)
         h = rng.normal(size=(10, 4))
         y = rng.integers(0, 3, 10)
-        _, partners = mixup_pairs(y, Rng(0, 0), 0.4)
+        _, partners = mixup_pairs(y, keyed_rng(0, 0), 0.4)
         out = local_prototypes(mix_rows(h, np.ones(10), partners), y, 3)
         ref = local_prototypes(h, y, 3)
         for k in np.flatnonzero(ref.present):
@@ -131,7 +131,7 @@ class TestAugmentedPrototypes:
         for labels in self.REPLAY_LABELS:
             y = np.array(labels)
             h = np.random.default_rng(3).normal(size=(y.size, 4))
-            out = mixed_prototypes(h, y, Rng(42, 5), 0.4)
+            out = mixed_prototypes(h, y, keyed_rng(42, 5), 0.4)
 
             gammas, partners = naive_mixup_pairs(y, 42, 5, 0.4)
             mixed = np.array([
@@ -144,7 +144,7 @@ class TestAugmentedPrototypes:
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            mixup_pairs([0, 1], Rng(0, 0), 0.0)
+            mixup_pairs([0, 1], keyed_rng(0, 0), 0.0)
 
 
 class TestInitialMeanAndAverage:
@@ -382,7 +382,7 @@ class TestSerialization:
 
 class TestMixupPairs:
     def test_no_partner_consumes_no_draws(self):
-        rng_a, rng_b = Rng(1, 1), Rng(1, 1)
+        rng_a, rng_b = keyed_rng(1, 1), keyed_rng(1, 1)
         gammas, partners = mixup_pairs(np.zeros(5, dtype=int), rng_a, 0.4)
         assert np.all(partners == -1) and np.all(gammas == 1.0)
         # identical state afterwards: next draw matches a fresh twin
@@ -390,7 +390,7 @@ class TestMixupPairs:
 
     def test_partners_cross_class(self):
         y = np.array([0, 0, 1, 1, 2])
-        gammas, partners = mixup_pairs(y, Rng(3, 3), 0.4)
+        gammas, partners = mixup_pairs(y, keyed_rng(3, 3), 0.4)
         for i, j in enumerate(partners):
             assert j >= 0
             assert y[j] != y[i]
