@@ -34,7 +34,7 @@ from .config import (
     validate_config,
     write_resolved,
 )
-from .datagen import CsvSchema, SampleSet, load_csv, save_csv
+from .datagen import SampleSet, load_csv, save_csv
 from .federation import ExperimentResult, run_experiment, synthetic_domains
 from .model import forward, load_params, save_params
 from .numerics import STREAM_DATA, keyed_rng
@@ -213,7 +213,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_dump_embeddings(args) -> int:
     params = load_params(args.checkpoint)
-    data = load_csv(args.data, CsvSchema(input_dim=None))
+    data = load_csv(args.data)
     if data.input_dim != params.input_dim:
         raise ValueError(
             f"checkpoint expects input dim {params.input_dim}, data has {data.input_dim}"

@@ -142,7 +142,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(cfg.data_noise >= 0, "data_noise must be >= 0")
     check(cfg.data_anchor_scale > 0, "data_anchor_scale must be > 0")
     check(cfg.data_shift >= 0, "data_shift must be >= 0")
-    check(cfg.seed >= 0, "seed must be >= 0")
+    check(0 <= cfg.seed < 2**64, "seed must lie in [0, 2**64)")  # keyed_rng packs it as uint64
     # the checks above bound these from below only, so inf would pass them
     for name in ("lr", "weight_decay", "tau", "alpha", "data_noise", "data_anchor_scale",
                  "data_shift"):

@@ -6,8 +6,9 @@ applied to shared class anchors, plus Gaussian noise. Domain 0 always keeps
 the identity transform so single-domain runs degrade to a plain Gaussian
 mixture.
 
-Also holds client partitioning (per-domain holdout then per-client sampling)
-and the CSV schema used to move data in and out of the simulator.
+Also holds client partitioning (per-domain holdout then per-client sampling,
+returning plain SampleSets) and the `x0..x{n-1},label,domain` CSV format
+used to move data in and out of the simulator.
 """
 
 from __future__ import annotations
@@ -40,60 +41,20 @@ class SampleSet:
         return SampleSet(self.x[idx], self.labels[idx], self.domains[idx])
 
 
-@dataclass
-class DomainSpec:
-    """Affine transform defining one domain's feature distribution."""
-
-    angles: np.ndarray  # rotation per coordinate pair (0,1), (2,3), ...
-    scales: np.ndarray  # per-dimension positive scale
-    bias: np.ndarray
-    noise_sigma: float
-
-    def __post_init__(self):
-        if np.any(self.scales <= 0):
-            raise ValueError("scales must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
-
-    def transform(self, points: np.ndarray) -> np.ndarray:
-        """Scale, rotate paired coordinates, then shift (no noise)."""
-        out = points * self.scales
-        for p, theta in enumerate(self.angles):
-            i, j = 2 * p, 2 * p + 1
-            c, s = math.cos(theta), math.sin(theta)
-            xi = out[:, i].copy()
-            xj = out[:, j].copy()
-            out[:, i] = c * xi - s * xj
-            out[:, j] = s * xi + c * xj
-        return out + self.bias
-
-
-def identity_spec(input_dim: int, noise_sigma: float) -> DomainSpec:
-    return DomainSpec(
-        angles=np.zeros(input_dim // 2),
-        scales=np.ones(input_dim),
-        bias=np.zeros(input_dim),
-        noise_sigma=noise_sigma,
-    )
-
-
-def default_domain_specs(
-    num_domains: int,
-    input_dim: int,
-    rng: np.random.Generator,
-    noise_sigma: float = 0.3,
-    shift: float = 1.0,
-) -> list[DomainSpec]:
-    """Domain 0 is the identity; the rest draw random rotations, scalings and
-    bias offsets whose magnitude grows with `shift`."""
-    specs = [identity_spec(input_dim, noise_sigma)]
-    n_pairs = input_dim // 2
-    for _ in range(1, num_domains):
-        angles = rng.uniform(-math.pi / 5, math.pi / 5, size=n_pairs) * shift
-        scales = np.exp(rng.uniform(-0.25, 0.25, size=input_dim) * shift)
-        bias = rng.standard_normal(input_dim) * (0.8 * shift / math.sqrt(input_dim))
-        specs.append(DomainSpec(angles, scales, bias, noise_sigma))
-    return specs
+def _transform(
+    points: np.ndarray, angles: np.ndarray, scales: np.ndarray, bias: np.ndarray
+) -> np.ndarray:
+    """Scale, rotate coordinate pairs (0,1), (2,3), ... by angles, then shift
+    by bias (no noise)."""
+    out = points * scales
+    for p, theta in enumerate(angles):
+        i, j = 2 * p, 2 * p + 1
+        c, s = math.cos(theta), math.sin(theta)
+        xi = out[:, i].copy()
+        xj = out[:, j].copy()
+        out[:, i] = c * xi - s * xj
+        out[:, j] = s * xi + c * xj
+    return out + bias
 
 
 def make_domains(
@@ -108,7 +69,12 @@ def make_domains(
 ) -> dict[int, SampleSet]:
     """Balanced per-domain datasets: shared class anchors, per-domain affine
     transform, spherical Gaussian noise. Labels are exactly balanced, so the
-    label marginal matches across domains by construction."""
+    label marginal matches across domains by construction.
+
+    Domain 0 keeps the identity transform (zero angles, unit scales, zero
+    bias); every other domain draws rotation angles, log-uniform scales and
+    a bias whose magnitudes grow with `shift`. Draw order: the anchors, then
+    each domain's angles, scales and bias, then each domain's noise."""
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
     if num_domains < 1:
@@ -117,73 +83,69 @@ def make_domains(
         raise ValueError("need input_dim >= 2")
     if per_class_count < 1:
         raise ValueError("need at least 1 sample per class")
+    if noise_sigma < 0:
+        raise ValueError("noise sigma must be >= 0")
 
     anchors = rng.standard_normal((num_classes, input_dim)) * anchor_scale
-    specs = default_domain_specs(num_domains, input_dim, rng, noise_sigma, shift)
+    n_pairs = input_dim // 2
+    transforms = [(np.zeros(n_pairs), np.ones(input_dim), np.zeros(input_dim))]
+    for dom in range(1, num_domains):
+        angles = rng.uniform(-math.pi / 5, math.pi / 5, size=n_pairs) * shift
+        scales = np.exp(rng.uniform(-0.25, 0.25, size=input_dim) * shift)
+        if np.any(scales <= 0):
+            raise ValueError(f"domain {dom}: shift {shift:g} underflows a scale to 0")
+        bias = rng.standard_normal(input_dim) * (0.8 * shift / math.sqrt(input_dim))
+        transforms.append((angles, scales, bias))
 
+    centered = np.repeat(anchors, per_class_count, axis=0)
     out: dict[int, SampleSet] = {}
-    for dom, spec in enumerate(specs):
-        centered = np.repeat(anchors, per_class_count, axis=0)
+    for dom, transform in enumerate(transforms):
         labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class_count)
-        x = spec.transform(centered)
-        if spec.noise_sigma > 0:
-            x = x + spec.noise_sigma * rng.standard_normal(x.shape)
+        x = _transform(centered, *transform)
+        if noise_sigma > 0:
+            x = x + noise_sigma * rng.standard_normal(x.shape)
         out[dom] = SampleSet(x, labels, np.full(len(labels), dom, dtype=np.int64))
     return out
 
 
-@dataclass
-class PartitionPlan:
-    """How a domain->data map is split across clients."""
-
-    clients_per_domain: dict[int, int]
-    sampling_rate: float
-
-    def __post_init__(self):
-        if not 0.0 < self.sampling_rate <= 1.0:
-            raise ValueError("sampling_rate must lie in (0, 1]")
-        if sum(self.clients_per_domain.values()) < 1:
-            raise ValueError("plan allocates no clients")
-
-
-@dataclass
-class ClientSplit:
-    client_id: int
-    domain: int
-    data: SampleSet
-
-
 def partition(
-    domain_data: dict[int, SampleSet], plan: PartitionPlan, rng: np.random.Generator
-) -> tuple[list[ClientSplit], dict[int, SampleSet]]:
+    domain_data: dict[int, SampleSet],
+    clients_per_domain: dict[int, int],
+    sampling_rate: float,
+    rng: np.random.Generator,
+) -> tuple[list[SampleSet], dict[int, SampleSet]]:
     """Hold out the test fraction of each domain, then let each client draw
     floor(rate * pool) samples from its domain's training pool without
     replacement. Clients of the same domain draw independently.
-    """
-    for dom in plan.clients_per_domain:
+
+    Returns the clients' data in client-id order (a client's id is its
+    position; domains ascending) and each domain's test set."""
+    if not 0.0 < sampling_rate <= 1.0:
+        raise ValueError("sampling_rate must lie in (0, 1]")
+    if sum(clients_per_domain.values()) < 1:
+        raise ValueError("plan allocates no clients")
+    for dom in clients_per_domain:
         if dom not in domain_data:
             raise ValueError(f"plan references missing domain {dom}")
-    clients: list[ClientSplit] = []
+    clients: list[SampleSet] = []
     test_sets: dict[int, SampleSet] = {}
-    client_id = 0
-    for dom in sorted(plan.clients_per_domain):
+    for dom in sorted(clients_per_domain):
         data = domain_data[dom]
         n = len(data)
         perm = rng.permutation(n)
         n_test = int(TEST_FRACTION * n)
         test_sets[dom] = data.take(perm[:n_test])
         pool = data.take(perm[n_test:])
-        n_draw = int(plan.sampling_rate * len(pool))
+        n_draw = int(sampling_rate * len(pool))
         if n_test == 0:
             raise ValueError(f"domain {dom}: {n} rows leave no test split")
         if n_draw < 1:
             raise ValueError(
-                f"domain {dom}: sampling rate {plan.sampling_rate} yields an empty client"
+                f"domain {dom}: sampling rate {sampling_rate} yields an empty client"
             )
-        for _ in range(plan.clients_per_domain[dom]):
+        for _ in range(clients_per_domain[dom]):
             idx = rng.choice(len(pool), n_draw, replace=False)
-            clients.append(ClientSplit(client_id, dom, pool.take(np.sort(idx))))
-            client_id += 1
+            clients.append(pool.take(np.sort(idx)))
     return clients, test_sets
 
 
@@ -195,15 +157,6 @@ class CsvFormatError(ValueError):
         if self.lines:
             message = f"{message} (lines {', '.join(map(str, self.lines))})"
         super().__init__(message)
-
-
-@dataclass
-class CsvSchema:
-    """Expected columns; None bounds skip the range check."""
-
-    input_dim: int | None = None
-    num_classes: int | None = None
-    num_domains: int | None = None
 
 
 def _header(input_dim: int) -> list[str]:
@@ -223,9 +176,12 @@ def save_csv(samples: SampleSet, path) -> None:
             writer.writerow(row)
 
 
-def load_csv(path, schema: CsvSchema | None = None) -> SampleSet:
-    """Parse a samples CSV, rejecting malformed rows with their line numbers."""
-    schema = schema or CsvSchema()
+def load_csv(
+    path, input_dim: int | None = None, num_classes: int | None = None,
+    num_domains: int | None = None,
+) -> SampleSet:
+    """Parse a samples CSV, rejecting malformed rows with their line numbers.
+    A bound that is None is not checked."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -235,8 +191,8 @@ def load_csv(path, schema: CsvSchema | None = None) -> SampleSet:
         dim = len(header) - 2
         if dim < 1 or header != _header(dim):
             raise CsvFormatError(f"bad header {header!r}; expected x0..x{{n-1}},label,domain")
-        if schema.input_dim is not None and dim != schema.input_dim:
-            raise CsvFormatError(f"header has {dim} feature columns, expected {schema.input_dim}")
+        if input_dim is not None and dim != input_dim:
+            raise CsvFormatError(f"header has {dim} feature columns, expected {input_dim}")
 
         xs, labels, domains, bad = [], [], [], []
         for line_no, row in enumerate(reader, start=2):
@@ -255,10 +211,10 @@ def load_csv(path, schema: CsvSchema | None = None) -> SampleSet:
             if not np.all(np.isfinite(vec)) or label < 0 or domain < 0:
                 bad.append(line_no)
                 continue
-            if schema.num_classes is not None and label >= schema.num_classes:
+            if num_classes is not None and label >= num_classes:
                 bad.append(line_no)
                 continue
-            if schema.num_domains is not None and domain >= schema.num_domains:
+            if num_domains is not None and domain >= num_domains:
                 bad.append(line_no)
                 continue
             xs.append(vec)
@@ -266,12 +222,10 @@ def load_csv(path, schema: CsvSchema | None = None) -> SampleSet:
             domains.append(domain)
     if bad:
         raise CsvFormatError("malformed rows", bad)
-    if not xs:
-        return SampleSet(
-            np.zeros((0, dim)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        )
-    return SampleSet(
-        np.stack(xs), np.array(labels, dtype=np.int64), np.array(domains, dtype=np.int64)
+    return SampleSet(  # a header-only file gives (0, dim) features
+        np.array(xs, dtype=np.float64).reshape(-1, dim),
+        np.array(labels, dtype=np.int64),
+        np.array(domains, dtype=np.int64),
     )
 
 

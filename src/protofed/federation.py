@@ -31,15 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .datagen import (
-    CsvSchema,
-    PartitionPlan,
-    SampleSet,
-    load_csv,
-    make_domains,
-    partition,
-    split_by_domain,
-)
+from .datagen import SampleSet, load_csv, make_domains, partition, split_by_domain
 from .losses import (
     GpclTargets, LossBreakdown, apa_loss, cross_entropy, gpcl_loss, gpcl_targets, total_loss
 )
@@ -100,12 +92,6 @@ class LocalUpdateResult:
     params: ModelParams
     prototypes: PrototypeSet
     losses: LossBreakdown  # mean over this client's batch steps
-
-
-@dataclass
-class EvalResult:
-    per_domain_accuracy: dict[int, float]
-    average_accuracy: float
 
 
 def _apa_targets(
@@ -276,9 +262,9 @@ def aggregate_params(
     return ModelParams(acc, shapes)
 
 
-def evaluate(params: ModelParams, test_sets: dict[int, SampleSet]) -> EvalResult:
-    """Per-domain top-1 accuracy; argmax ties resolve to the lowest class
-    index; the average is the unweighted mean over domains."""
+def evaluate(params: ModelParams, test_sets: dict[int, SampleSet]) -> dict[int, float]:
+    """Per-domain top-1 accuracy, domains ascending; argmax ties resolve to
+    the lowest class index."""
     per_domain: dict[int, float] = {}
     for dom in sorted(test_sets):
         ts = test_sets[dom]
@@ -287,8 +273,7 @@ def evaluate(params: ModelParams, test_sets: dict[int, SampleSet]) -> EvalResult
         logits = forward(params, ts.x).logits_2d
         preds = np.argmax(logits, axis=1)
         per_domain[dom] = float(np.mean(preds == ts.labels))
-    avg = sum(per_domain.values()) / len(per_domain)
-    return EvalResult(per_domain, avg)
+    return per_domain
 
 
 def run_round(
@@ -321,13 +306,15 @@ def run_round(
     else:
         raise ValueError(f"unknown aggregator mode {cfg.aggregator_mode!r}")
 
-    ev = evaluate(new_global, test_sets)
+    accuracy = evaluate(new_global, test_sets)
     mean_losses = total_loss(
         sum(r.losses.ce for r in results) / len(results),
         sum(r.losses.gpcl for r in results) / len(results),
         sum(r.losses.apa for r in results) / len(results),
     )
-    report = RoundReport(server.round, ev.per_domain_accuracy, ev.average_accuracy, mean_losses)
+    # the average accuracy is the unweighted mean over domains
+    average = sum(accuracy.values()) / len(accuracy)
+    report = RoundReport(server.round, accuracy, average, mean_losses)
     return ServerState(server.round + 1, new_global, generalized), report
 
 
@@ -352,20 +339,15 @@ def build_problem(
     """Materialize data, splits, initial model and per-client RNG streams."""
     rng_data = keyed_rng(cfg.seed, STREAM_DATA)
     if cfg.csv_path:
-        schema = CsvSchema(cfg.input_dim, cfg.num_classes, cfg.num_domains)
-        domain_data = split_by_domain(load_csv(cfg.csv_path, schema))
+        domain_data = split_by_domain(
+            load_csv(cfg.csv_path, cfg.input_dim, cfg.num_classes, cfg.num_domains)
+        )
     else:
         domain_data = synthetic_domains(cfg, rng_data)
-    plan = PartitionPlan(
-        {dom: count for dom, count in enumerate(cfg.clients_per_domain) if count > 0},
-        cfg.sampling_rate,
-    )
-    splits, test_sets = partition(domain_data, plan, rng_data)
+    counts = {dom: count for dom, count in enumerate(cfg.clients_per_domain) if count > 0}
+    client_data, test_sets = partition(domain_data, counts, cfg.sampling_rate, rng_data)
     theta0 = init_params(keyed_rng(cfg.seed, STREAM_INIT), list(cfg.arch), cfg.num_classes)
-    clients = [
-        ClientState(s.client_id, s.data, keyed_rng(cfg.seed, s.client_id))
-        for s in splits
-    ]
+    clients = [ClientState(i, data, keyed_rng(cfg.seed, i)) for i, data in enumerate(client_data)]
     return clients, test_sets, theta0
 
 

@@ -98,7 +98,6 @@ class ForwardTrace:
     (M, B, feature_dim) for stacked parameters."""
 
     x: np.ndarray  # (B, input_dim) or (M, B, input_dim)
-    pre: list[np.ndarray] = field(default_factory=list)  # per-layer pre-activations
     acts: list[np.ndarray] = field(default_factory=list)  # per-layer outputs
     logits_2d: np.ndarray = None
 
@@ -146,7 +145,6 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     for i, (w, b) in enumerate(params.extractor):
         z = a @ w.swapaxes(-1, -2)
         z += b[..., None, :]
-        trace.pre.append(z)
         a = z if i == last else np.maximum(z, 0.0)
         trace.acts.append(a)
     wc, bc = params.classifier
@@ -190,7 +188,8 @@ def backward(
         np.sum(g, axis=-2, out=g_b)
         if i > 0:
             w_i, _ = params.extractor[i]
-            g = (g @ w_i) * (trace.pre[i - 1] > 0.0)
+            # layer i - 1 is a hidden ReLU layer: max(z, 0) > 0 exactly when z > 0
+            g = (g @ w_i) * (trace.acts[i - 1] > 0.0)
     return grads
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from protofed.config import ExperimentConfig
-from protofed.datagen import PartitionPlan, make_domains, partition
+from protofed.datagen import make_domains, partition
 from protofed.federation import RoundReport
 from protofed.losses import (
     LossBreakdown,
@@ -382,30 +382,27 @@ def naive_fedavg_loop(cfg: ExperimentConfig) -> list[RoundReport]:
         anchor_scale=cfg.data_anchor_scale,
         shift=cfg.data_shift,
     )
-    plan = PartitionPlan(
-        {dom: count for dom, count in enumerate(cfg.clients_per_domain) if count > 0},
-        cfg.sampling_rate,
-    )
-    splits, test_sets = partition(domain_data, plan, rng_data)
+    allocation = {dom: count for dom, count in enumerate(cfg.clients_per_domain) if count > 0}
+    client_data, test_sets = partition(domain_data, allocation, cfg.sampling_rate, rng_data)
     global_params = init_params(keyed_rng(cfg.seed, STREAM_INIT), list(cfg.arch), cfg.num_classes)
-    client_rngs = {s.client_id: keyed_rng(cfg.seed, s.client_id) for s in splits}
+    client_rngs = [keyed_rng(cfg.seed, client_id) for client_id in range(len(client_data))]
 
     reports = []
     for round_idx in range(cfg.rounds):
         trained: list[ModelParams] = []
         ce_means: list[float] = []
-        for split in splits:
+        for client_id, data in enumerate(client_data):
             params = global_params
-            n = len(split.data)
+            n = len(data)
             bs = min(cfg.batch_size, n)
             ce_sum = 0.0
             steps = 0
             for _ in range(cfg.epochs):
-                order = client_rngs[split.client_id].permutation(n)
+                order = client_rngs[client_id].permutation(n)
                 for start in range(0, n, bs):
                     idx = order[start : start + bs]
-                    trace = forward(params, split.data.x[idx])
-                    ce, d_logits = cross_entropy(trace.logits_2d, split.data.labels[idx])
+                    trace = forward(params, data.x[idx])
+                    ce, d_logits = cross_entropy(trace.logits_2d, data.labels[idx])
                     grads = backward(params, trace, d_logits, np.zeros_like(trace.acts[-1]))
                     params = sgd_step(params, grads, cfg.lr, cfg.weight_decay)
                     ce_sum += ce
@@ -413,7 +410,7 @@ def naive_fedavg_loop(cfg: ExperimentConfig) -> list[RoundReport]:
             trained.append(params)
             ce_means.append(ce_sum / steps)
 
-        counts = np.asarray([len(s.data) for s in splits], dtype=np.float64)
+        counts = np.asarray([len(data) for data in client_data], dtype=np.float64)
         weights = counts / counts.sum()
         acc_arrays = [weights[0] * a for a in _layer_arrays(trained[0])]
         for w, params in zip(weights[1:], trained[1:]):

@@ -113,6 +113,28 @@ class TestRunCommand:
             key = line.split(" = ")[0]
             assert f"config error: {key} must be" in capsys.readouterr().err
 
+    def test_seed_beyond_uint64_exits_2(self, tiny_config, tmp_path, capsys):
+        # keyed_rng packs the seed as a uint64; 2**64 must fail as a config
+        # error, from the command line and from the file alike
+        big = str(2**64)
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", str(tiny_config), "--seed", big, "--out", out]) == 2
+        assert "config error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+        bad = tmp_path / "bad.txt"
+        bad.write_text(TINY_CONFIG + f"seed = {big}\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", out]) == 2
+        assert "config error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+        last = tmp_path / "last.txt"
+        last.write_text(TINY_CONFIG + f"seed = {2**64 - 1}\n", encoding="utf-8")
+        assert main(["run", "--config", str(last), "--out", out]) == 0
+
+    def test_underflowing_domain_scale_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(TINY_CONFIG + "data_shift = 1e4\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: domain 1: shift 10000 underflows a scale to 0\n"
+
     def test_feature_width_one_exits_2(self, tmp_path, capsys):
         # at feature width 1 every cosine similarity is +-1: GPCL is degenerate
         bad = tmp_path / "bad.txt"

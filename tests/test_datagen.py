@@ -3,10 +3,7 @@ import pytest
 
 from protofed.datagen import (
     CsvFormatError,
-    CsvSchema,
-    PartitionPlan,
     SampleSet,
-    default_domain_specs,
     load_csv,
     make_domains,
     partition,
@@ -72,66 +69,71 @@ class TestMakeDomains:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            default_domain_specs(2, 8, keyed_rng(0, 0), noise_sigma=-1.0)
+            make_domains(2, 2, 8, 10, keyed_rng(0, 0), noise_sigma=-1.0)
+
+    def test_underflowing_scale_names_domain_and_shift(self):
+        # exp(u * shift) with u in [-0.25, 0.25] underflows to 0 at shift 1e4
+        message = r"^domain 1: shift 10000 underflows a scale to 0$"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            gen(num_domains=2, per_class_count=10, shift=1e4)
 
 
 class TestPartition:
     def test_unequal_allocation(self):
         data = gen(per_class_count=50)
-        plan = PartitionPlan({0: 6, 1: 4, 2: 3, 3: 7}, sampling_rate=1.0)
-        clients, tests = partition(data, plan, keyed_rng(1, 0))
+        clients, tests = partition(data, {0: 6, 1: 4, 2: 3, 3: 7}, 1.0, keyed_rng(1, 0))
         assert len(clients) == 20
         got = {}
         for c in clients:
-            got[c.domain] = got.get(c.domain, 0) + 1
+            [dom] = np.unique(c.domains)
+            got[int(dom)] = got.get(int(dom), 0) + 1
         assert got == {0: 6, 1: 4, 2: 3, 3: 7}
         assert sorted(tests) == [0, 1, 2, 3]
 
     def test_exact_floor_draw(self):
         # training pool of exactly 1000 per domain: 1250 raw - 20% test
         data = gen(num_classes=5, per_class_count=250, num_domains=2)
-        plan = PartitionPlan({0: 3, 1: 2}, sampling_rate=0.2)
-        clients, _ = partition(data, plan, keyed_rng(2, 0))
+        clients, _ = partition(data, {0: 3, 1: 2}, 0.2, keyed_rng(2, 0))
         for c in clients:
-            assert len(c.data) == 200
+            assert len(c) == 200
 
     def test_train_test_disjoint(self):
         data = gen(per_class_count=40)
-        plan = PartitionPlan({d: 2 for d in range(4)}, sampling_rate=0.5)
-        clients, tests = partition(data, plan, keyed_rng(3, 0))
+        clients, tests = partition(data, {d: 2 for d in range(4)}, 0.5, keyed_rng(3, 0))
         for c in clients:
-            test_rows = {tuple(row) for row in tests[c.domain].x}
-            for row in c.data.x:
+            test_rows = {tuple(row) for row in tests[int(c.domains[0])].x}
+            for row in c.x:
                 assert tuple(row) not in test_rows
 
     def test_deterministic(self):
         data = gen(per_class_count=40)
-        plan = PartitionPlan({d: 2 for d in range(4)}, sampling_rate=0.5)
-        a, _ = partition(data, plan, keyed_rng(4, 0))
-        b, _ = partition(data, plan, keyed_rng(4, 0))
+        counts = {d: 2 for d in range(4)}
+        a, _ = partition(data, counts, 0.5, keyed_rng(4, 0))
+        b, _ = partition(data, counts, 0.5, keyed_rng(4, 0))
+        assert len(a) == len(b) == 8
         for ca, cb in zip(a, b):
-            assert ca.client_id == cb.client_id
-            assert np.array_equal(ca.data.x, cb.data.x)
+            assert np.array_equal(ca.x, cb.x)
+            assert np.array_equal(ca.domains, cb.domains)
 
     def test_client_ids_sequential(self):
+        # a client's id is its position: domains ascending, each domain's
+        # clients consecutive
         data = gen(per_class_count=20)
-        plan = PartitionPlan({0: 2, 1: 1, 2: 1, 3: 2}, sampling_rate=0.5)
-        clients, _ = partition(data, plan, keyed_rng(5, 0))
-        assert [c.client_id for c in clients] == list(range(6))
+        clients, _ = partition(data, {3: 2, 0: 2, 2: 1, 1: 1}, 0.5, keyed_rng(5, 0))
+        assert [int(c.domains[0]) for c in clients] == [0, 0, 1, 2, 3, 3]
 
     def test_empty_allocation_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionPlan({0: 0}, sampling_rate=0.5)
+        with pytest.raises(ValueError, match="plan allocates no clients"):
+            partition(gen(per_class_count=10), {0: 0}, 0.5, keyed_rng(6, 0))
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionPlan({0: 1}, sampling_rate=0.0)
+        with pytest.raises(ValueError, match=r"sampling_rate must lie in \(0, 1\]"):
+            partition(gen(per_class_count=10), {0: 1}, 0.0, keyed_rng(6, 0))
 
     def test_missing_domain_rejected(self):
         data = gen(num_domains=2, per_class_count=10)
-        plan = PartitionPlan({0: 1, 5: 1}, sampling_rate=0.5)
         with pytest.raises(ValueError):
-            partition(data, plan, keyed_rng(6, 0))
+            partition(data, {0: 1, 5: 1}, 0.5, keyed_rng(6, 0))
 
 
 class TestCsv:
@@ -164,7 +166,7 @@ class TestCsv:
             "x0,x1,label,domain\n1.0,2.0,0,0\n1.0,2.0,5,0\n", encoding="utf-8"
         )
         with pytest.raises(CsvFormatError) as err:
-            load_csv(path, CsvSchema(input_dim=2, num_classes=5))
+            load_csv(path, input_dim=2, num_classes=5)
         assert err.value.lines == [3]
 
     def test_non_numeric_cell_names_line(self, tmp_path):
@@ -187,7 +189,7 @@ class TestCsv:
         path = tmp_path / "dim.csv"
         path.write_text("x0,x1,label,domain\n", encoding="utf-8")
         with pytest.raises(CsvFormatError):
-            load_csv(path, CsvSchema(input_dim=3))
+            load_csv(path, input_dim=3)
 
     def test_split_by_domain(self):
         x = np.arange(8, dtype=np.float64).reshape(4, 2)
