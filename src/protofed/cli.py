@@ -6,8 +6,11 @@ no timestamps, sorted keys, fixed float formatting. Exit codes: 0 success,
 worker processes run the independent sub-runs of a sweep or an ablation
 (default 1: one after another in this process); it never changes results.
 The workers are forked from this process, so a value above 1 needs a
-platform with the fork start method. An ablation config that several
-variants share is trained once and its artifacts are copied.
+platform with the fork start method. Sweep and ablate share one sub-run
+worker, which trains a config that several sub-runs share once and copies
+its artifacts, and which never raises: a failed sweep value becomes an error
+row, and a failed ablation exits 3 only once every distinct config has run,
+so the output tree is the same at any thread count.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import os
 import shutil
@@ -27,9 +29,8 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
-    SweepSpec,
     load_config,
-    parse_sweep,
+    load_sweep,
     sweep_dir_name,
     validate_config,
     write_resolved,
@@ -119,33 +120,57 @@ def _summary_row(summary: dict, num_domains: int) -> list[str]:
     return [_fmt(summary["average_accuracy"])] + cells
 
 
-def _sweep_one(base: ExperimentConfig, param: str, out_root: Path, value: float) -> list[str]:
-    """One sweep.csv row; a failed sub-run is recorded in its status cell."""
-    sub_dir = out_root / sweep_dir_name(param, value)
-    sub_cfg = dataclasses.replace(base, **{param: value}, out_dir=str(sub_dir))
+def _train(item) -> dict | str:
+    """Validate and train one config into the first of its directories, and
+    return its summary, or the error message if it fails; never raises, so
+    every sub-run runs at any PROTOFED_THREADS. Each other directory gets its
+    own config.resolved.json and byte copies of the rest."""
+    cfg, dirs = item
     try:
-        validate_config(sub_cfg)
-        summary = execute_run(sub_cfg, sub_dir).summary
-    except Exception as exc:  # record and keep sweeping
-        return [param, _fmt(value)] + [""] * (1 + base.num_domains) + [f"error: {exc}"]
-    return [param, _fmt(value)] + _summary_row(summary, base.num_domains) + ["ok"]
+        validate_config(cfg)
+        summary = execute_run(dataclasses.replace(cfg, out_dir=str(dirs[0])), dirs[0]).summary
+        for sub_dir in dirs[1:]:
+            sub_dir.mkdir(parents=True, exist_ok=True)
+            sub_cfg = dataclasses.replace(cfg, out_dir=str(sub_dir))
+            write_resolved(sub_cfg, sub_dir / "config.resolved.json")
+            for name in ("rounds.jsonl", "summary.json", "model.bin", "prototypes.json"):
+                if (dirs[0] / name).exists():
+                    shutil.copyfile(dirs[0] / name, sub_dir / name)
+    except Exception as exc:  # the command decides what a failed sub-run means
+        return str(exc)
+    return summary
+
+
+def _train_all(configs: list[ExperimentConfig], dirs: list[Path]) -> list[dict | str]:
+    """_train's result for each config, in input order. Configs with the same
+    repr are trained once, in order of first appearance, and copied to the
+    others' directories; repr, unlike ==, keeps 0.0 and -0.0 apart, as their
+    config.resolved.json does."""
+    groups: dict[str, tuple[ExperimentConfig, list[Path]]] = {}
+    for cfg, sub_dir in zip(configs, dirs):
+        groups.setdefault(repr(cfg), (cfg, []))[1].append(sub_dir)
+    results = dict(zip(groups, _map_subruns(_train, list(groups.values()))))
+    return [results[repr(cfg)] for cfg in configs]
 
 
 def cmd_sweep(args) -> int:
-    spec: SweepSpec = parse_sweep(Path(args.config).read_text(encoding="utf-8"))
-    base = spec.base
-    if args.seed is not None:
-        base = dataclasses.replace(base, seed=args.seed)
-    out_root = Path(args.out if args.out is not None else base.out_dir)
+    param, values, base = load_sweep(args.config, seed=args.seed, out_dir=args.out)
+    out_root = Path(base.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = _map_subruns(functools.partial(_sweep_one, base, spec.param, out_root), spec.values)
+    configs = [dataclasses.replace(base, **{param: value}) for value in values]
+    results = _train_all(configs, [out_root / sweep_dir_name(param, value) for value in values])
 
     with open(out_root / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["param", "value", "avg_acc_last5"] + _acc_columns(base.num_domains) + ["status"]
         )
-        writer.writerows(rows)
+        for value, result in zip(values, results):
+            if isinstance(result, str):  # record and keep sweeping
+                cells = [""] * (1 + base.num_domains) + [f"error: {result}"]
+            else:
+                cells = _summary_row(result, base.num_domains) + ["ok"]
+            writer.writerow([param, _fmt(value)] + cells)
     return 0
 
 
@@ -163,38 +188,17 @@ ABLATION_VARIANTS = [
 ]
 
 
-def _ablate_one(item) -> dict:
-    """Train one distinct ablation config into the first of its directories
-    and return its summary. Each other directory gets its own
-    config.resolved.json and byte copies of the rest, so a config repeated
-    across groups is trained once. A failed run raises with the first
-    directory's name."""
-    cfg, dirs = item
-    try:
-        summary = execute_run(dataclasses.replace(cfg, out_dir=str(dirs[0])), dirs[0]).summary
-    except Exception as exc:
-        raise RuntimeError(f"sub-run {dirs[0].name}: {exc}") from exc
-    for sub_dir in dirs[1:]:
-        sub_dir.mkdir(parents=True, exist_ok=True)
-        sub_cfg = dataclasses.replace(cfg, out_dir=str(sub_dir))
-        write_resolved(sub_cfg, sub_dir / "config.resolved.json")
-        for name in ("rounds.jsonl", "summary.json", "model.bin", "prototypes.json"):
-            if (dirs[0] / name).exists():
-                shutil.copyfile(dirs[0] / name, sub_dir / name)
-    return summary
-
-
 def cmd_ablate(args) -> int:
     base = load_config(args.config, seed=args.seed, out_dir=args.out)
     out_root = Path(base.out_dir)
-    # validate_config ties no overridden key to another, so every variant of base is valid
     configs = [dataclasses.replace(base, **over) for _, _, over in ABLATION_VARIANTS]
     dirs = [out_root / f"{g}_{v}" for g, v, _ in ABLATION_VARIANTS]
-    # each group holds the base's own setting, so the base config recurs
-    distinct = [c for i, c in enumerate(configs) if c not in configs[:i]]
-    items = [(c, [d for d, other in zip(dirs, configs) if other == c]) for c in distinct]
     out_root.mkdir(parents=True, exist_ok=True)
-    summaries = _map_subruns(_ablate_one, items)
+    # each group holds the base's own setting, so the base config is trained once
+    results = _train_all(configs, dirs)
+    for sub_dir, result in zip(dirs, results):
+        if isinstance(result, str):
+            raise RuntimeError(f"sub-run {sub_dir.name}: {result}")
 
     with open(out_root / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -202,11 +206,11 @@ def cmd_ablate(args) -> int:
             ["group", "variant", "gpcl", "apa", "aggregator", "mixup", "avg_acc_last5"]
             + _acc_columns(base.num_domains)
         )
-        for (group, variant, _), cfg in zip(ABLATION_VARIANTS, configs):
+        for (group, variant, _), cfg, summary in zip(ABLATION_VARIANTS, configs, results):
             switches = [str(cfg.gpcl_enabled).lower(), str(cfg.apa_enabled).lower()]
             writer.writerow(
                 [group, variant, *switches, cfg.aggregator_mode, cfg.mixup_mode]
-                + _summary_row(summaries[distinct.index(cfg)], base.num_domains)
+                + _summary_row(summary, base.num_domains)
             )
     return 0
 

@@ -58,11 +58,12 @@ def _parse_value(name: str, raw: str):
     field = _FIELDS[name]
     raw = raw.strip()
     try:
-        if field.type in ("int", int):
+        # under `from __future__ import annotations` every field.type is a string
+        if field.type == "int":
             return int(raw)
-        if field.type in ("float", float):
+        if field.type == "float":
             return float(raw)
-        if field.type in ("bool", bool):
+        if field.type == "bool":
             low = raw.lower()
             if low in ("true", "false"):
                 return low == "true"
@@ -92,12 +93,20 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def build_config(raw: dict[str, str]) -> ExperimentConfig:
+def build_config(
+    raw: dict[str, str], seed: int | None = None, out_dir: str | None = None
+) -> ExperimentConfig:
+    """The config that raw's values describe, with a command-line seed or
+    out_dir in place of the file's. The file's values are validated before
+    the override, so a bad value fails even when the override replaces it,
+    and the result is validated after it."""
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
-    values = {name: _parse_value(name, val) for name, val in raw.items()}
-    cfg = ExperimentConfig(**values)
+    cfg = ExperimentConfig(**{name: _parse_value(name, val) for name, val in raw.items()})
+    validate_config(cfg)
+    overrides = {"seed": seed, "out_dir": out_dir}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     validate_config(cfg)
     return cfg
 
@@ -152,17 +161,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def load_config(path, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    raw = parse_kv_text(text)
-    cfg = build_config(raw)
-    if seed is not None or out_dir is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            seed=cfg.seed if seed is None else seed,
-            out_dir=cfg.out_dir if out_dir is None else out_dir,
-        )
-        validate_config(cfg)
-    return cfg
+    return build_config(parse_kv_text(Path(path).read_text(encoding="utf-8")), seed, out_dir)
 
 
 def resolved_dict(cfg: ExperimentConfig) -> dict:
@@ -183,16 +182,13 @@ def write_resolved(cfg: ExperimentConfig, path) -> None:
 SWEEPABLE = ("tau", "alpha", "beta")
 
 
-@dataclass
-class SweepSpec:
-    param: str
-    values: list[float]
-    base: ExperimentConfig
-
-
-def parse_sweep(text: str) -> SweepSpec:
-    """Sweep files are regular configs plus `sweep_param` and `sweep_values`."""
-    raw = parse_kv_text(text)
+def load_sweep(
+    path, seed: int | None = None, out_dir: str | None = None
+) -> tuple[str, list[float], ExperimentConfig]:
+    """(param, values, base) of a sweep file: a regular config plus
+    `sweep_param` and `sweep_values`. The base takes seed and out_dir as
+    load_config does."""
+    raw = parse_kv_text(Path(path).read_text(encoding="utf-8"))
     param = raw.pop("sweep_param", None)
     values_raw = raw.pop("sweep_values", None)
     if param is None or values_raw is None:
@@ -214,7 +210,7 @@ def parse_sweep(text: str) -> SweepSpec:
                 f"sweep_values {seen[name]} and {text_value} both write sub-run directory {name}"
             )
         seen[name] = text_value
-    return SweepSpec(param, values, build_config(raw))
+    return param, values, build_config(raw, seed, out_dir)
 
 
 def sweep_dir_name(param: str, value: float) -> str:

@@ -80,10 +80,6 @@ class ModelParams:
     def feature_dim(self) -> int:
         return self.shapes[-2][0]
 
-    @property
-    def num_classes(self) -> int:
-        return self.shapes[-1][0]
-
 
 def params_from_layers(layers: list[tuple[np.ndarray, np.ndarray]]) -> ModelParams:
     """Pack per-layer (W, b) pairs, classifier last, into one ModelParams."""

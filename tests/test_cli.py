@@ -127,6 +127,15 @@ class TestRunCommand:
         last = tmp_path / "last.txt"
         last.write_text(TINY_CONFIG + f"seed = {2**64 - 1}\n", encoding="utf-8")
         assert main(["run", "--config", str(last), "--out", out]) == 0
+        # sweep validates its --seed as run does, before any sub-run
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(TINY_CONFIG + "sweep_param = tau\nsweep_values = 0.05, 0.07\n")
+        for seed in ("-1", big):
+            sweep_out = tmp_path / f"sweep{seed}"
+            argv = ["sweep", "--config", str(sweep), "--seed", seed, "--out", str(sweep_out)]
+            assert main(argv) == 2, seed
+            assert "config error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+            assert not (sweep_out / "sweep.csv").exists()
 
     def test_underflowing_domain_scale_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -252,14 +261,17 @@ class TestSweepCommand:
     def test_beta_sweep_includes_limits(self, tmp_path):
         sweep = tmp_path / "sweep.txt"
         sweep.write_text(
-            TINY_CONFIG + "sweep_param = beta\nsweep_values = 0, 0.9, 0.99, 1.0\n",
+            TINY_CONFIG + "sweep_param = beta\nsweep_values = 0, -0, 0.9, 0.99, 1.0\n",
             encoding="utf-8",
         )
         out = tmp_path / "sweep_out"
         assert main(["sweep", "--config", str(sweep), "--out", str(out)]) == 0
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
+        assert len(rows) == 5
+        # 0 == -0, yet each sub-run records its own value
+        resolved = json.loads((out / "beta_-0" / "config.resolved.json").read_text())
+        assert str(resolved["beta"]) == "-0.0"
 
     def test_empty_values_exit_2(self, tmp_path):
         sweep = tmp_path / "sweep.txt"
@@ -495,8 +507,10 @@ class TestThreadsEnv:
         # lr = 1e6 diverges already in the first, FedAvg-mode sub-run
         config = tmp_path / "diverge.txt"
         config.write_text(TINY_CONFIG + "lr = 1e6\n", encoding="utf-8")
-        codes = [code for code, _ in self._both(monkeypatch, tmp_path, "ablate", config)]
-        assert codes == [3, 3]
+        (code_1, tree_1), (code_2, tree_2) = self._both(monkeypatch, tmp_path, "ablate", config)
+        assert code_1 == code_2 == 3
+        # every distinct config runs before the command fails, at any thread count
+        assert tree_1 == tree_2
         err = capsys.readouterr().err.splitlines()
         errors = [line for line in err if line.startswith("error:")]
         assert len(errors) == 2 and errors[0] == errors[1]

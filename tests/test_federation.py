@@ -348,7 +348,7 @@ def _seed_prototypes(clients, params):
     """Generalized prototypes from the initial model, so GPCL is active."""
     from protofed.prototypes import average_prototypes, local_prototypes
 
-    k = params.num_classes
+    k = params.shapes[-1][0]
     return average_prototypes(
         [local_prototypes(forward(params, c.data.x).acts[-1], c.data.labels, k) for c in clients]
     )

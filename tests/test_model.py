@@ -40,7 +40,7 @@ class TestInit:
         p = init_params(keyed_rng(0, 0), [4, 8, 3], 2)
         assert [w.shape for w, _ in p.extractor] == [(8, 4), (3, 8)]
         assert p.classifier[0].shape == (2, 3)
-        assert p.input_dim == 4 and p.feature_dim == 3 and p.num_classes == 2
+        assert p.input_dim == 4 and p.feature_dim == 3 and p.shapes[-1][0] == 2
 
     def test_biases_zero(self):
         p = init_params(keyed_rng(7, 0), [5, 6, 4], 3)
