@@ -141,15 +141,22 @@ def _train(item) -> dict | str:
     return summary
 
 
+def _cost_rank(cfg: ExperimentConfig) -> tuple:
+    """Measured cost order: APA with input, feature, then no mixup; GPCL adds."""
+    mixup = {"feature": 1, "input": 2}.get(cfg.mixup_mode, 0) if cfg.apa_enabled else 0
+    return (cfg.apa_enabled, mixup, cfg.gpcl_enabled)
+
+
 def _train_all(configs: list[ExperimentConfig], dirs: list[Path]) -> list[dict | str]:
     """_train's result for each config, in input order. Configs with the same
-    repr are trained once, in order of first appearance, and copied to the
-    others' directories; repr, unlike ==, keeps 0.0 and -0.0 apart, as their
-    config.resolved.json does."""
+    repr (unlike ==, it keeps 0.0 and -0.0 apart, as config.resolved.json
+    does) are trained once and copied to the others' directories, dearest
+    first (ties in input order), so no worker idles at the end."""
     groups: dict[str, tuple[ExperimentConfig, list[Path]]] = {}
     for cfg, sub_dir in zip(configs, dirs):
         groups.setdefault(repr(cfg), (cfg, []))[1].append(sub_dir)
-    results = dict(zip(groups, _map_subruns(_train, list(groups.values()))))
+    order = sorted(groups, key=lambda key: _cost_rank(groups[key][0]), reverse=True)
+    results = dict(zip(order, _map_subruns(_train, [groups[key] for key in order])))
     return [results[repr(cfg)] for cfg in configs]
 
 

@@ -10,14 +10,15 @@ aborts the round.
 Clients of equal dataset size share a batch schedule, so each such size
 block trains as one (G, P) parameter stack (the leading client axis of
 model.py), its members in client-id order: every local step runs one
-stacked forward, cross-entropy, GPCL, per-batch class means, mixup row
-mixing, APA, backward and SGD step; only the mixup draws go client by
-client, each from its own stream: two array draws per batch, all gammas
-and then all partner ranks (mixup_pairs). With synthetic data every
-client holds the same number of samples, so there is one block; CSV data
-with unequal domains gives one block per size, and a block of one is simply
-G = 1. Each client's random draws and arithmetic are therefore exactly those
-of training it alone.
+stacked forward, cross-entropy, GPCL, mixup pairing and row mixing,
+per-batch class means, APA, backward and SGD step, the last two written in
+place into parameter and gradient stacks allocated once per block. Only the
+mixup draws are per member, each from its own stream in member order (all
+its gammas, then all its partner ranks; mixup_pairs). With synthetic data
+every client holds the same number of samples, so there is one block; CSV
+data with unequal domains gives one block per size, and a block of one is
+simply G = 1. Each client's random draws and arithmetic are therefore
+exactly those of training it alone.
 
 With GPCL, APA and mixup all disabled the loop degrades to plain FedAvg and
 is required to match a minimal independent FedAvg implementation bitwise.
@@ -107,15 +108,12 @@ def _apa_targets(
 
     off: plain per-batch class means. feature: mix cached features across
     classes. input: mix raw inputs and run one fresh (gradient-free) stacked
-    forward. Each client's mixup pairs come from its own stream, in
-    mixup_pairs' order (its gammas, then its partner ranks); the mixing
-    itself runs on the whole block.
+    forward. Pairing and mixing run on the whole block (mixup_pairs).
     """
     k = cfg.num_classes
     if cfg.mixup_mode == "off":
         return local_prototypes(features, yb, k)
-    pairs = [mixup_pairs(y, rng, cfg.alpha) for y, rng in zip(yb, rngs)]
-    gammas, partners = np.stack([g for g, _ in pairs]), np.stack([p for _, p in pairs])
+    gammas, partners = mixup_pairs(yb, rngs, cfg.alpha)
     if cfg.mixup_mode == "feature":
         return local_prototypes(mix_rows(features, gammas, partners), yb, k)
     mixed_h = forward(params, mix_rows(xb, gammas, partners)).acts[-1]
@@ -149,17 +147,22 @@ def _train_block(
     prototypes (targets, skipped while None); APA against per-batch
     augmented prototypes (class means of plain or mixed rows); the checks;
     backward and SGD. Each epoch every member draws its batch order from its
-    own stream. A failing step ends the block at once.
+    own stream. A failing step ends the block at once. The stacks are
+    allocated once and written in place; global_params is only read.
     """
     num, n = len(block), len(block[0].data)
     batch_size = min(cfg.batch_size, n)
     steps = math.ceil(n / batch_size)
     rngs = [c.rng for c in block]
     params = ModelParams(np.repeat(global_params.flat[None, :], num, axis=0), global_params.shapes)
+    grads = ModelParams(np.empty_like(params.flat), params.shapes)
     # the members' (G, n, in) inputs and (G, n) labels, refilled in place
     # each epoch in that epoch's batch order
     xs = np.empty((num, n) + block[0].data.x.shape[1:])
     ys = np.empty((num, n), dtype=np.int64)
+    # read-only: each step adds 0 and its terms' gradients into their own arrays
+    zero_features = np.zeros((num, batch_size, params.feature_dim))
+    zero_terms = np.zeros(num)
     sums = np.zeros((3, num))
     for epoch in range(cfg.epochs):
         for j, c in enumerate(block):
@@ -172,22 +175,24 @@ def _train_block(
             trace = forward(params, xb)
             h = trace.acts[-1]
             ce, d_logits = cross_entropy(trace.logits_2d, yb)
-            d_features = np.zeros_like(h)
-            gpcl = apa = np.zeros(num)
+            d_features = zero_features[:, : h.shape[1]]
+            gpcl = apa = zero_terms
             if targets is not None:
                 gpcl, g = gpcl_loss(h, yb, targets, cfg.tau)
-                d_features += g
+                d_features = np.add(d_features, g, out=g)
             if cfg.apa_enabled:
                 p_tilde = _apa_targets(params, h, xb, yb, rngs, cfg)
                 apa, g = apa_loss(h, yb, p_tilde)
-                d_features += g
-            for j, c in enumerate(block):  # the lowest failing client id first
-                why = _bad_term(float(ce[j]), float(gpcl[j]), float(apa[j]))
-                if why is not None:
-                    where = f"client {c.client_id}, local step {epoch * steps + step}"
-                    return (epoch, step, c.client_id, f"{where}: {why}"), None, None
-            grads = backward(params, trace, d_logits, d_features)
-            params = sgd_step(params, grads, cfg.lr, cfg.weight_decay)
+                d_features = np.add(d_features, g, out=g)
+            # a finite sum means finite terms; only a failing step is searched client by client
+            if not (np.isfinite(ce + gpcl + apa).all() and ce.max() <= MAX_STEP_CE):
+                for j, c in enumerate(block):  # the lowest failing client id first
+                    why = _bad_term(float(ce[j]), float(gpcl[j]), float(apa[j]))
+                    if why is not None:
+                        where = f"client {c.client_id}, local step {epoch * steps + step}"
+                        return (epoch, step, c.client_id, f"{where}: {why}"), None, None
+            backward(params, trace, d_logits, d_features, out=grads)
+            sgd_step(params, grads, cfg.lr, cfg.weight_decay, out=params)
             sums += (ce, gpcl, apa)
     return None, params, sums / (cfg.epochs * steps)
 
@@ -270,8 +275,7 @@ def evaluate(params: ModelParams, test_sets: dict[int, SampleSet]) -> dict[int, 
         ts = test_sets[dom]
         if len(ts) == 0:
             raise ValueError(f"empty test set for domain {dom}")
-        logits = forward(params, ts.x).logits_2d
-        preds = np.argmax(logits, axis=1)
+        preds = np.argmax(forward(params, ts.x).logits_2d, axis=1)
         per_domain[dom] = float(np.mean(preds == ts.labels))
     return per_domain
 
@@ -293,9 +297,7 @@ def run_round(
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {server.round}, {exc}") from exc
 
-    new_global = aggregate_params(
-        [r.params for r in results], [len(c.data) for c in ordered]
-    )
+    new_global = aggregate_params([r.params for r in results], [len(c.data) for c in ordered])
     prototype_sets = [r.prototypes for r in results]
     if cfg.aggregator_mode == "reweight":
         mu = average_prototypes(prototype_sets)

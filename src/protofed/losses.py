@@ -105,14 +105,14 @@ def gpcl_loss(features, labels, targets: GpclTargets, tau: float):
     sims = np.clip(sims_raw, -1.0, 1.0)
 
     b = h.shape[-2]
-    pos = pos[..., None]
+    picks = pos.reshape(-1) + len(protos) * np.arange(pos.size)  # as in cross_entropy
     z = sims / tau
     shifted = z - z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
-    loss = np.mean(lse - np.take_along_axis(shifted, pos, axis=-1)[..., 0], axis=-1)
+    loss = np.mean(lse - shifted.reshape(-1)[picks].reshape(y.shape), axis=-1)
 
     dsim = np.exp(shifted - lse[..., None])
-    np.put_along_axis(dsim, pos, np.take_along_axis(dsim, pos, axis=-1) - 1.0, axis=-1)
+    dsim.reshape(-1)[picks] -= 1.0
     dsim /= b * tau
     dsim[np.abs(sims_raw) > 1.0] = 0.0  # clamp region: flat
 
@@ -133,9 +133,10 @@ def apa_loss(features, labels, p_tilde: PrototypeSet):
     (G, B, d) gradient.
     """
     h, y = check_batch(features, labels, p_tilde.vectors.shape[-2], stacked=True)
-    b = h.shape[-2]
-    counted = np.take_along_axis(p_tilde.present, y, axis=-1)[..., None]
-    diff = (h - np.take_along_axis(p_tilde.vectors, y[..., None], axis=-2)) * counted
+    b, k = h.shape[-2], p_tilde.vectors.shape[-2]
+    rows = y + k * np.arange(len(y))[:, None]  # each sample's row of the (G * K, d) set
+    counted = p_tilde.present.reshape(-1)[rows][..., None]
+    diff = (h - p_tilde.vectors.reshape(-1, h.shape[-1])[rows]) * counted
     loss = (diff * diff).reshape(len(h), -1).sum(axis=-1) / b
     # a batch with no counted sample has an exactly zero gradient
     grad = np.where(counted.any(axis=-2, keepdims=True), 2.0 * diff / b, 0.0)

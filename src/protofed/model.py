@@ -2,7 +2,9 @@
 
 Forward/backward are hand-rolled on float64 numpy so that gradients can be
 validated against finite differences to tight tolerance. Parameters are
-treated as immutable values: sgd_step returns fresh arrays.
+treated as values: backward and sgd_step return fresh arrays, or overwrite
+and return out= (same layout), which only a size block's local update
+passes, for its own gradient and parameter stacks, never the received model.
 
 All parameters live in one flat float64 vector in the order W0, b0, W1, b1,
 ..., Wc, bc (extractor layers, then the classifier; each W of shape
@@ -81,6 +83,10 @@ class ModelParams:
         return self.shapes[-2][0]
 
 
+def _same_layout(a: ModelParams, b: ModelParams) -> bool:
+    return a.shapes == b.shapes and a.flat.shape == b.flat.shape
+
+
 def params_from_layers(layers: list[tuple[np.ndarray, np.ndarray]]) -> ModelParams:
     """Pack per-layer (W, b) pairs, classifier last, into one ModelParams."""
     flat = np.concatenate([a for w, b in layers for a in (w.reshape(-1), b)])
@@ -154,11 +160,12 @@ def backward(
     trace: ForwardTrace,
     dl_dlogits: np.ndarray,
     dl_dfeatures: np.ndarray,
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """Exact reverse-mode gradients of the scalar loss whose partials at the
     logits and at the features are the two given arrays (summed over the batch),
     in the parameters' flat layout. Stacked parameters give each client's
-    gradient in its own row.
+    gradient in its own row. out, when given, receives the gradients.
     """
     dz = np.asarray(dl_dlogits, dtype=np.float64)
     dh = np.asarray(dl_dfeatures, dtype=np.float64)
@@ -170,8 +177,10 @@ def backward(
     if dh.shape != h.shape:
         raise ValueError("dl_dfeatures shape does not match trace features")
 
-    # written in place through the layer views of one fresh flat array
-    grads = ModelParams(np.empty_like(params.flat), params.shapes)
+    if out is not None and not _same_layout(out, params):
+        raise ValueError("out does not match the parameters")
+    # written in place through the layer views of one flat array
+    grads = ModelParams(np.empty_like(params.flat), params.shapes) if out is None else out
     wc, _ = params.classifier
     np.matmul(dz.swapaxes(-1, -2), h, out=grads.classifier[0])
     np.sum(dz, axis=-2, out=grads.classifier[1])
@@ -190,19 +199,25 @@ def backward(
 
 
 def sgd_step(
-    params: ModelParams, grads: ModelParams, lr: float, weight_decay: float
+    params: ModelParams, grads: ModelParams, lr: float, weight_decay: float,
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """p <- p - lr * (g + weight_decay * p), applied to weights and biases alike
     (and to every client row of stacked parameters). lr = 0 is the identity
-    (useful for frozen-model probes)."""
+    (useful for frozen-model probes). out, when given (params itself too),
+    receives the result."""
     if lr < 0:
         raise ValueError("lr must be >= 0")
     if weight_decay < 0:
         raise ValueError("weight_decay must be >= 0")
-    if grads.shapes != params.shapes or grads.flat.shape != params.flat.shape:
-        raise ValueError("gradient shapes do not match the parameters")
+    if not _same_layout(grads, params) or (out is not None and not _same_layout(out, params)):
+        raise ValueError("gradient shapes or out do not match the parameters")
     p = params.flat
-    return ModelParams(p - lr * (grads.flat + weight_decay * p), params.shapes)
+    step = grads.flat + weight_decay * p
+    step *= lr
+    out = ModelParams(np.empty_like(p), params.shapes) if out is None else out
+    np.subtract(p, step, out=out.flat)
+    return out
 
 
 def params_to_bytes(params: ModelParams) -> bytes:

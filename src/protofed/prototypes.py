@@ -71,13 +71,17 @@ def local_prototypes(features, labels, num_classes: int) -> PrototypeSet:
     exact additive identity, so the padding changes no sum: for d >= 2 the
     result is bitwise ``h[y == k].mean(axis=0)``. (numpy sums a single
     column pairwise, not row by row; validate_config rejects d = 1.)
+    ``np.add.reduceat`` over the label-sorted rows is not a drop-in
+    replacement: its axis-0 sums differ in the last bits from that row-order
+    sum.
     """
     h, y = check_batch(features, labels, num_classes)
     hs, ys = (h, y) if h.ndim == 3 else (h[None], y[None])
     ranks = np.cumsum(ys[..., None] == np.arange(num_classes), axis=1)
     counts = ranks[:, -1]  # (G, K)
     padded = np.full(counts.shape + (counts.max(), h.shape[-1]), -0.0)
-    rank = np.take_along_axis(ranks, ys[..., None], axis=2)[..., 0] - 1
+    picks = ys.reshape(-1) + num_classes * np.arange(ys.size)  # flat, as cross_entropy's
+    rank = ranks.reshape(-1)[picks].reshape(ys.shape) - 1  # each row's rank in its class
     padded[np.arange(len(ys))[:, None], ys, rank] = hs
     sums = padded.sum(axis=2)
     present = counts[..., None] > 0
@@ -85,29 +89,38 @@ def local_prototypes(features, labels, num_classes: int) -> PrototypeSet:
     return PrototypeSet(vectors, counts) if h.ndim == 3 else PrototypeSet(vectors[0], counts[0])
 
 
-def mixup_pairs(labels, rng: np.random.Generator, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (gamma, partner index) for every sample in row order.
+def mixup_pairs(labels, rngs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (gamma, partner index) for every sample of a block: (G, n) labels
+    with one Generator per member batch, or one (n,) batch with one Generator.
 
-    The partner is uniform over the samples with a different label. The
-    draws are: all n gammas, ``sample_beta(rng, alpha, n)``, then all n
-    partner ranks, ``rng.integers(pool_sizes)`` where a sample's pool size
-    is the number of rows of other classes, both in row order. Sample i's
-    rank counts its pool in label-sorted order (a stable sort, so rows of
-    one class keep their order). A batch of one class has no cross-class
-    partner: every sample gets partner -1 and gamma 1.0 and no draw is
-    made, so the draw sequence is a pure function of the labels.
+    The partner is uniform over the rows of the same batch with another
+    label. Only the draws are per member, from its own Generator in member
+    order: all n gammas, ``sample_beta(rng, alpha, n)``, then all n partner
+    ranks, ``rng.integers(pool_sizes)``, a rank counting the batch's rows of
+    other classes in stable label-sorted order. The bookkeeping (class
+    counts, own-class offsets, sort, partner lookup) runs once for the whole
+    block. A batch of one class has no partner: its samples get partner -1
+    and gamma 1.0 and its Generator draws nothing, so each member's draws
+    are a pure function of its labels.
     """
     y = np.asarray(labels, dtype=np.int64)
-    n = y.shape[0]
-    counts = np.bincount(y)
-    if np.count_nonzero(counts) < 2:
-        return np.ones(n), np.full(n, -1, dtype=np.int64)
-    gammas = sample_beta(rng, alpha, n)
-    own, start = counts[y], (np.cumsum(counts) - counts)[y]
-    ranks = rng.integers(n - own)
-    # skip over the sample's own class, which sits at [start, start + own)
-    partners = np.argsort(y, kind="stable")[ranks + own * (ranks >= start)]
-    return gammas, partners
+    ys, rngs = (y, list(rngs)) if y.ndim == 2 else (y[None], [rngs])
+    g, n = ys.shape
+    k = int(ys.max()) + 1
+    cells = ys + k * np.arange(g)[:, None]  # flat index of each (member, label)
+    counts = np.bincount(cells.reshape(-1), minlength=g * k).reshape(g, k)
+    own = counts.reshape(-1)[cells]
+    start = (np.cumsum(counts, axis=1) - counts).reshape(-1)[cells]
+    mixes = np.count_nonzero(counts, axis=1) >= 2
+    gammas, ranks = np.ones((g, n)), np.zeros((g, n), dtype=np.int64)
+    for j in np.flatnonzero(mixes):
+        gammas[j] = sample_beta(rngs[j], alpha, n)
+        ranks[j] = rngs[j].integers(n - own[j])
+    # skip the own class at [start, start + own); a partnerless member reads row 0, gets -1
+    pos = np.where(mixes[:, None], ranks + own * (ranks >= start), 0)
+    order = np.argsort(ys, axis=1, kind="stable")
+    partners = np.where(mixes[:, None], order.reshape(-1)[pos + n * np.arange(g)[:, None]], -1)
+    return (gammas, partners) if y.ndim == 2 else (gammas[0], partners[0])
 
 
 def mix_rows(rows: np.ndarray, gammas: np.ndarray, partners: np.ndarray) -> np.ndarray:

@@ -392,6 +392,19 @@ class TestLockstep:
             [alone] = local_updates([alone_clients[i]], theta0, generalized, cfg)
             _assert_same_result(result, alone)
 
+    @pytest.mark.parametrize("mixup_mode", ["off", "input"])
+    def test_global_params_left_unchanged(self, mixup_mode):
+        # ragged sizes: several blocks, one of a single client
+        cfg = replace(LOCKSTEP, mixup_mode=mixup_mode)
+        clients, theta0 = _fresh_clients(cfg, (23, 8, 17, 5, 23))
+        generalized = _seed_prototypes(clients, theta0)
+        before = theta0.flat.copy()
+        results = local_updates(clients, theta0, generalized, cfg)
+        assert theta0.flat.tobytes() == before.tobytes()
+        for r in results:
+            assert not np.shares_memory(r.params.flat, theta0.flat)
+            assert not np.array_equal(r.params.flat, before)
+
     def test_results_in_client_id_order(self):
         clients, theta0 = _fresh_clients(LOCKSTEP, (23, 8, 17, 5, 23))
         forward_order = local_updates(clients, theta0, None, LOCKSTEP)

@@ -128,6 +128,15 @@ class TestGroupTerms:
             want_loss, want_grad = naive_apa_loss(h[g], y[g], dict_set)
             assert same(loss[g], want_loss) and same(grad[g], want_grad)
 
+    def test_mixup_pairs_match_each_client(self, groups, batch, dim, k, seed):
+        # batch 0 holds a single class, so it draws nothing in either call
+        _, y, _ = group_instance(seed, groups, batch, dim, k)
+        gammas, partners = mixup_pairs(y, [keyed_rng(seed, g) for g in range(groups)], 0.4)
+        assert gammas.shape == partners.shape == y.shape
+        for g in range(groups):
+            want_gammas, want_partners = mixup_pairs(y[g], keyed_rng(seed, g), 0.4)
+            assert same(gammas[g], want_gammas) and same(partners[g], want_partners)
+
     def test_mix_rows_matches_each_client(self, groups, batch, dim, k, seed):
         h, y, _ = group_instance(seed, groups, batch, dim, k)
         pairs = [mixup_pairs(y[g], keyed_rng(seed, g), 0.4) for g in range(groups)]
@@ -141,6 +150,42 @@ class TestGroupTerms:
             want = naive_local_prototypes(mix_rows(h[g], gammas[g], partners[g]), y[g])
             for c in want.classes():
                 assert same(means.vectors[g, c], want.vector(c))
+
+
+# members 1 and 3 hold a single class: one inside the block, one at its
+# end, where a partner lookup that skipped its own class would run past the
+# last row
+SINGLE_CLASS_BLOCK = np.array([
+    [0, 1, 2, 1, 0, 2, 2],
+    [2, 2, 2, 2, 2, 2, 2],
+    [1, 0, 0, 1, 1, 0, 3],
+    [0, 0, 0, 0, 0, 0, 0],
+])
+
+
+def test_block_mixup_pairs_with_single_class_members():
+    """The block call equals per-member calls bitwise; a single-class member
+    gets partner -1 and gamma 1.0 and its stream draws nothing, while the
+    other members' streams advance exactly as they do alone."""
+    y = SINGLE_CLASS_BLOCK
+    block_rngs = [keyed_rng(7, g) for g in range(len(y))]
+    gammas, partners = mixup_pairs(y, block_rngs, 0.4)
+    for g, rng in enumerate(block_rngs):
+        alone = keyed_rng(7, g)
+        want_gammas, want_partners = mixup_pairs(y[g], alone, 0.4)
+        assert same(gammas[g], want_gammas) and same(partners[g], want_partners)
+        if g in (1, 3):
+            assert np.all(partners[g] == -1) and np.all(gammas[g] == 1.0)
+            assert rng.uniform() == keyed_rng(7, g).uniform()  # drew nothing
+        else:
+            assert np.all(y[g][partners[g]] != y[g])
+            assert rng.uniform() == alone.uniform()  # drew as it does alone
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_block_mixup_pairs_reject_nonpositive_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        mixup_pairs(SINGLE_CLASS_BLOCK, [keyed_rng(7, g) for g in range(4)], alpha)
 
 
 def test_gpcl_rejects_a_label_without_generalized_prototype():

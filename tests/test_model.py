@@ -333,6 +333,41 @@ class TestClientAxis:
                 assert np.shares_memory(w, stacked.flat)
                 assert np.array_equal(w[m], wm) and np.array_equal(b[m], bm)
 
+    # a single model, and a stack of three
+    @pytest.mark.parametrize("num", [None, 3])
+    def test_out_writes_the_fresh_result(self, num):
+        """backward(out=) and sgd_step(out=params) give the bits of the calls
+        that return fresh arrays, and write nothing else."""
+        rng = np.random.default_rng(11)
+        models = [small_model(seed=s, arch=(4, 3, 2), k=3) for s in range(num or 1)]
+        params = models[0] if num is None else _stack(models)
+        lead = params.flat.shape[:-1]
+        trace = forward(params, rng.normal(size=lead + (6, 4)))
+        dz = rng.normal(size=trace.logits_2d.shape)
+        dh = rng.normal(size=trace.acts[-1].shape)
+        dh[..., 0, :] = -0.0
+        fresh = backward(params, trace, dz, dh)
+        out = ModelParams(np.full_like(params.flat, np.nan), params.shapes)
+        assert backward(params, trace, dz, dh, out=out) is out
+        assert out.flat.tobytes() == fresh.flat.tobytes()
+
+        stepped = sgd_step(params, fresh, lr=0.1, weight_decay=1e-3)
+        grads_before = fresh.flat.copy()
+        assert sgd_step(params, fresh, lr=0.1, weight_decay=1e-3, out=params) is params
+        assert params.flat.tobytes() == stepped.flat.tobytes()
+        assert fresh.flat.tobytes() == grads_before.tobytes()
+        w, _ = params.extractor[0]  # the layer views see the new values
+        assert np.shares_memory(w, params.flat)
+
+    def test_out_must_match_parameters(self):
+        p = small_model()
+        other = zeros_like(_stack([p, p]))
+        t = forward(p, np.ones((2, 4)))
+        with pytest.raises(ValueError, match="out does not match"):
+            backward(p, t, np.zeros_like(t.logits_2d), np.zeros_like(t.acts[-1]), out=other)
+        with pytest.raises(ValueError, match="or out do not match"):
+            sgd_step(p, zeros_like(p), lr=0.1, weight_decay=0.0, out=other)
+
     def test_input_must_match_client_axis(self):
         stacked = _stack([small_model(seed=s) for s in range(3)])
         with pytest.raises(ValueError, match="client axes"):
