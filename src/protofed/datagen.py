@@ -50,7 +50,8 @@ def _transform(
     for p, theta in enumerate(angles):
         i, j = 2 * p, 2 * p + 1
         c, s = math.cos(theta), math.sin(theta)
-        xi, xj = out[:, i].copy(), out[:, j].copy()
+        xi = out[:, i].copy()
+        xj = out[:, j].copy()
         out[:, i] = c * xi - s * xj
         out[:, j] = s * xi + c * xj
     return out + bias
@@ -207,9 +208,13 @@ def load_csv(
             except ValueError:
                 bad.append(line_no)
                 continue
-            if (not np.all(np.isfinite(vec)) or label < 0 or domain < 0
-                    or (num_classes is not None and label >= num_classes)
-                    or (num_domains is not None and domain >= num_domains)):
+            if not np.all(np.isfinite(vec)) or label < 0 or domain < 0:
+                bad.append(line_no)
+                continue
+            if num_classes is not None and label >= num_classes:
+                bad.append(line_no)
+                continue
+            if num_domains is not None and domain >= num_domains:
                 bad.append(line_no)
                 continue
             xs.append(vec)

@@ -107,8 +107,7 @@ def _apa_targets(
     as one (G, K, d) set, under the configured mixup mode.
 
     off: plain per-batch class means. feature: mix cached features across
-    classes. input: mix raw inputs and run one fresh (gradient-free) stacked
-    forward. Pairing and mixing run on the whole block (mixup_pairs).
+    classes. input: mix raw inputs, then one gradient-free stacked forward.
     """
     k = cfg.num_classes
     if cfg.mixup_mode == "off":
@@ -160,9 +159,7 @@ def _train_block(
     # each epoch in that epoch's batch order
     xs = np.empty((num, n) + block[0].data.x.shape[1:])
     ys = np.empty((num, n), dtype=np.int64)
-    # read-only: each step adds 0 and its terms' gradients into their own arrays
-    zero_features = np.zeros((num, batch_size, params.feature_dim))
-    zero_terms = np.zeros(num)
+    zero_features = np.zeros((num, batch_size, params.feature_dim))  # read-only
     sums = np.zeros((3, num))
     for epoch in range(cfg.epochs):
         for j, c in enumerate(block):
@@ -176,7 +173,7 @@ def _train_block(
             h = trace.acts[-1]
             ce, d_logits = cross_entropy(trace.logits_2d, yb)
             d_features = zero_features[:, : h.shape[1]]
-            gpcl = apa = zero_terms
+            gpcl = apa = np.zeros(num)
             if targets is not None:
                 gpcl, g = gpcl_loss(h, yb, targets, cfg.tau)
                 d_features = np.add(d_features, g, out=g)
@@ -275,7 +272,8 @@ def evaluate(params: ModelParams, test_sets: dict[int, SampleSet]) -> dict[int, 
         ts = test_sets[dom]
         if len(ts) == 0:
             raise ValueError(f"empty test set for domain {dom}")
-        preds = np.argmax(forward(params, ts.x).logits_2d, axis=1)
+        logits = forward(params, ts.x).logits_2d
+        preds = np.argmax(logits, axis=1)
         per_domain[dom] = float(np.mean(preds == ts.labels))
     return per_domain
 
@@ -297,7 +295,9 @@ def run_round(
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {server.round}, {exc}") from exc
 
-    new_global = aggregate_params([r.params for r in results], [len(c.data) for c in ordered])
+    new_global = aggregate_params(
+        [r.params for r in results], [len(c.data) for c in ordered]
+    )
     prototype_sets = [r.prototypes for r in results]
     if cfg.aggregator_mode == "reweight":
         mu = average_prototypes(prototype_sets)

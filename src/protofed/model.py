@@ -2,9 +2,8 @@
 
 Forward/backward are hand-rolled on float64 numpy so that gradients can be
 validated against finite differences to tight tolerance. Parameters are
-treated as values: backward and sgd_step return fresh arrays, or overwrite
-and return out= (same layout), which only a size block's local update
-passes, for its own gradient and parameter stacks, never the received model.
+treated as values: backward and sgd_step return fresh arrays, or write into
+out=, which only a size block's update passes, for its own stacks.
 
 All parameters live in one flat float64 vector in the order W0, b0, W1, b1,
 ..., Wc, bc (extractor layers, then the classifier; each W of shape
@@ -212,11 +211,8 @@ def sgd_step(
         raise ValueError("weight_decay must be >= 0")
     if not _same_layout(grads, params) or (out is not None and not _same_layout(out, params)):
         raise ValueError("gradient shapes or out do not match the parameters")
-    p = params.flat
-    step = grads.flat + weight_decay * p
-    step *= lr
-    out = ModelParams(np.empty_like(p), params.shapes) if out is None else out
-    np.subtract(p, step, out=out.flat)
+    out = ModelParams(np.empty_like(params.flat), params.shapes) if out is None else out
+    np.subtract(params.flat, lr * (grads.flat + weight_decay * params.flat), out=out.flat)
     return out
 
 

@@ -80,8 +80,7 @@ def local_prototypes(features, labels, num_classes: int) -> PrototypeSet:
     ranks = np.cumsum(ys[..., None] == np.arange(num_classes), axis=1)
     counts = ranks[:, -1]  # (G, K)
     padded = np.full(counts.shape + (counts.max(), h.shape[-1]), -0.0)
-    picks = ys.reshape(-1) + num_classes * np.arange(ys.size)  # flat, as cross_entropy's
-    rank = ranks.reshape(-1)[picks].reshape(ys.shape) - 1  # each row's rank in its class
+    rank = np.take_along_axis(ranks, ys[..., None], axis=2)[..., 0] - 1
     padded[np.arange(len(ys))[:, None], ys, rank] = hs
     sums = padded.sum(axis=2)
     present = counts[..., None] > 0
@@ -104,7 +103,7 @@ def mixup_pairs(labels, rngs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     are a pure function of its labels.
     """
     y = np.asarray(labels, dtype=np.int64)
-    ys, rngs = (y, list(rngs)) if y.ndim == 2 else (y[None], [rngs])
+    ys, rngs = (y, rngs) if y.ndim == 2 else (y[None], [rngs])
     g, n = ys.shape
     k = int(ys.max()) + 1
     cells = ys + k * np.arange(g)[:, None]  # flat index of each (member, label)
