@@ -48,8 +48,8 @@ class ModelParams:
     holds W0, b0, W1, b1, ..., Wc, bc with each W row-major, which is the body
     of a model.bin checkpoint; an (M, P) flat holds one such vector per
     client. extractor (a list of (W, b)) and classifier ((Wc, bc)) are views
-    into flat, built once here, with flat's leading axis in front. No
-    function mutates the parameters it is given; gradients use the same type
+    into flat, built once here, with flat's leading axis in front. Only an
+    out= argument is ever written (see above); gradients use the same type
     and layout.
     """
 
