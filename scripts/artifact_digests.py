@@ -6,9 +6,13 @@ Runs, with this checkout's protofed CLI:
   ablate   --config configs/skewed.txt    --out OUT/ablate  (PROTOFED_THREADS=2)
   sweep    --config configs/sweep_tau.txt --out OUT/sweep   (PROTOFED_THREADS=2)
   gen-data --config configs/default.txt   --out OUT/gen-data/data.csv
+  run      --config OUT/multiblock/config.txt --out OUT/multiblock/run
 then prints `sha256  relative/path` for every file they wrote, sorted by path.
-Each command's output (OUT/run, OUT/ablate, OUT/sweep, OUT/gen-data) is
-removed first; nothing else under OUT is touched.
+The last run trains on OUT/multiblock/data.csv, the gen-data CSV with every
+third row of domain 1 dropped, so its clients fall into two size blocks
+(synthetic data always gives one). Each output (OUT/run, OUT/ablate,
+OUT/sweep, OUT/gen-data, OUT/multiblock) is removed first; nothing else
+under OUT is touched.
 
 Artifacts record their output directory (config.resolved.json), so two
 checkouts compare byte for byte only when both write into the same OUT:
@@ -29,12 +33,34 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 COMMANDS = [
-    # (command, config, output under OUT, PROTOFED_THREADS)
+    # (command, config, output under OUT, PROTOFED_THREADS); a config under
+    # multiblock/ is written into OUT first (write_multiblock_inputs)
     ("run", "configs/default.txt", "run", "1"),
     ("ablate", "configs/skewed.txt", "ablate", "2"),
     ("sweep", "configs/sweep_tau.txt", "sweep", "2"),
     ("gen-data", "configs/default.txt", "gen-data/data.csv", "1"),
+    ("run", "multiblock/config.txt", "multiblock/run", "1"),
 ]
+# the multi-block run: domain 1 (clients 3 and 4 of configs/default.txt's
+# allocation) loses every third of its rows
+DROP_DOMAIN, DROP_EVERY = "1", 3
+MULTIBLOCK_CONFIG = "rounds = 5\nepochs = 5\ncsv_path = {csv}\n"
+
+
+def write_multiblock_inputs(out: Path) -> None:
+    """OUT/multiblock/data.csv and the config.txt that trains on it."""
+    lines = (out / "gen-data/data.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    kept, seen = lines[:1], 0
+    for line in lines[1:]:
+        if line.rstrip("\n").rsplit(",", 1)[1] == DROP_DOMAIN:
+            seen += 1
+            if seen % DROP_EVERY == 0:
+                continue
+        kept.append(line)
+    (out / "multiblock").mkdir()
+    (out / "multiblock/data.csv").write_text("".join(kept), encoding="utf-8")
+    config = MULTIBLOCK_CONFIG.format(csv=out / "multiblock/data.csv")
+    (out / "multiblock/config.txt").write_text(config, encoding="utf-8")
 
 
 def main() -> int:
@@ -51,6 +77,9 @@ def main() -> int:
     src = str(REPO / "src")
     pythonpath = os.environ.get("PYTHONPATH")
     for command, config, target, threads in COMMANDS:
+        if config.startswith("multiblock/"):
+            write_multiblock_inputs(out)
+            config = str(out / config)
         env = dict(
             os.environ,
             PYTHONPATH=src if not pythonpath else f"{src}{os.pathsep}{pythonpath}",

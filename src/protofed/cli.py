@@ -83,9 +83,10 @@ def _map_subruns(worker, items: list) -> list:
         return list(pool.map(worker, items))
 
 
-def execute_run(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
+def execute_run(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one experiment and write rounds.jsonl, summary.json,
-    config.resolved.json, model.bin and prototypes.json into out_dir."""
+    config.resolved.json, model.bin and prototypes.json into cfg.out_dir."""
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, out_dir / "config.resolved.json")
     with open(out_dir / "rounds.jsonl", "w", encoding="utf-8") as rounds_fh:
@@ -99,14 +100,13 @@ def execute_run(cfg: ExperimentConfig, out_dir: Path) -> ExperimentResult:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     save_params(result.final_params, out_dir / "model.bin")
-    if result.final_generalized is not None:
-        save_prototypes_json(result.final_generalized, out_dir / "prototypes.json")
+    save_prototypes_json(result.final_generalized, out_dir / "prototypes.json")
     return result
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
-    execute_run(cfg, Path(cfg.out_dir))
+    execute_run(cfg)
     return 0
 
 
@@ -128,14 +128,13 @@ def _train(item) -> dict | str:
     cfg, dirs = item
     try:
         validate_config(cfg)
-        summary = execute_run(dataclasses.replace(cfg, out_dir=str(dirs[0])), dirs[0]).summary
+        summary = execute_run(dataclasses.replace(cfg, out_dir=str(dirs[0]))).summary
         for sub_dir in dirs[1:]:
             sub_dir.mkdir(parents=True, exist_ok=True)
             sub_cfg = dataclasses.replace(cfg, out_dir=str(sub_dir))
             write_resolved(sub_cfg, sub_dir / "config.resolved.json")
             for name in ("rounds.jsonl", "summary.json", "model.bin", "prototypes.json"):
-                if (dirs[0] / name).exists():
-                    shutil.copyfile(dirs[0] / name, sub_dir / name)
+                shutil.copyfile(dirs[0] / name, sub_dir / name)
     except Exception as exc:  # the command decides what a failed sub-run means
         return str(exc)
     return summary

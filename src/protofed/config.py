@@ -138,6 +138,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(all(w >= 1 for w in cfg.arch), "arch widths must be positive")
     # at feature width 1 every cosine similarity is +-1, so GPCL is degenerate
     check(len(cfg.arch) < 2 or cfg.arch[-1] >= 2, "arch feature width (last entry) must be >= 2")
+    # the synthetic generator rotates coordinate pairs; a CSV may hold one column
+    check(
+        bool(cfg.csv_path) or len(cfg.arch) < 2 or cfg.arch[0] >= 2,
+        "arch input width (first entry) must be >= 2 for synthetic data",
+    )
     check(cfg.num_classes >= 2, "num_classes must be >= 2")
     check(cfg.num_domains >= 1, "num_domains must be >= 1")
     check(cfg.per_class_count >= 1, "per_class_count must be >= 1")

@@ -20,6 +20,12 @@ data with unequal domains gives one block per size, and a block of one is
 simply G = 1. Each client's random draws and arithmetic are therefore
 exactly those of training it alone.
 
+A round's uploads take one form: every block's (G, P) stack is written into
+one (M, P) parameter stack and its (3, G) loss means into one (3, M) array,
+rows in client-id order, beside the M clients' local prototype sets. The
+server averages the stack's rows (aggregate_params) and the loss rows in
+row order, as Python sums them.
+
 With GPCL, APA and mixup all disabled the loop degrades to plain FedAvg and
 is required to match a minimal independent FedAvg implementation bitwise.
 """
@@ -86,13 +92,6 @@ class RoundReport:
             "average_accuracy": self.average_accuracy,
             "losses": self.losses.as_dict(),
         }
-
-
-@dataclass
-class LocalUpdateResult:
-    params: ModelParams
-    prototypes: PrototypeSet
-    losses: LossBreakdown  # mean over this client's batch steps
 
 
 def _apa_targets(
@@ -199,11 +198,13 @@ def local_updates(
     global_params: ModelParams,
     generalized: PrototypeSet | None,
     cfg: ExperimentConfig,
-) -> list[LocalUpdateResult]:
+) -> tuple[ModelParams, list[PrototypeSet], np.ndarray]:
     """Train the received global model on every client's data, one size
     block at a time (see the module docstring), then compute each client's
     local prototypes over its full dataset with its final model, one client
-    at a time. Results come in client-id order.
+    at a time. Returns, in client-id order, the (M, P) trained parameters,
+    the M local prototype sets and the (3, M) mean CE, GPCL and APA of each
+    client over its batch steps.
 
     Each client's batch size is clamped to its dataset. A non-finite loss
     term, or a CE above MAX_STEP_CE, raises FloatingPointError naming the
@@ -212,56 +213,50 @@ def local_updates(
     blocks (the other blocks finish their update first).
     """
     ordered = sorted(clients, key=lambda c: c.client_id)
-    blocks: dict[int, list[ClientState]] = {}
-    for c in ordered:
+    blocks: dict[int, list[int]] = {}  # dataset size -> positions in ordered
+    for i, c in enumerate(ordered):
         if len(c.data) == 0:
             raise ValueError(f"client {c.client_id} has no data")
-        blocks.setdefault(len(c.data), []).append(c)
+        blocks.setdefault(len(c.data), []).append(i)
     # GPCL's prototype matrix and norms are constants for the whole update
     targets = gpcl_targets(generalized) if cfg.gpcl_enabled and generalized is not None else None
-    trained: dict[int, tuple[ModelParams, np.ndarray]] = {}
+    params = ModelParams(np.empty((len(ordered), global_params.flat.size)), global_params.shapes)
+    means = np.empty((3, len(ordered)))
     failures = []
-    for block in blocks.values():
-        failure, params, means = _train_block(block, global_params, targets, cfg)
+    for rows in blocks.values():
+        block = [ordered[i] for i in rows]
+        failure, block_params, block_means = _train_block(block, global_params, targets, cfg)
         if failure is not None:
             failures.append(failure)
             continue
-        for j, c in enumerate(block):
-            trained[c.client_id] = ModelParams(params.flat[j], params.shapes), means[:, j]
+        params.flat[rows], means[:, rows] = block_params.flat, block_means
     if failures:
         raise FloatingPointError(min(failures)[-1])
 
-    results = []
-    for c in ordered:
-        # one client at a time: stacking every client's full dataset would
-        # hold M times the activations for a forward that runs once a round
-        params, means = trained[c.client_id]
-        h = forward(params, c.data.x).acts[-1]
-        protos = local_prototypes(h, c.data.labels, cfg.num_classes)
-        results.append(LocalUpdateResult(params, protos, total_loss(*map(float, means))))
-    return results
+    # one client at a time: stacking every client's full dataset would hold
+    # M times the activations for a forward that runs once a round
+    protos = []
+    for row, c in zip(params.flat, ordered):
+        h = forward(ModelParams(row, params.shapes), c.data.x).acts[-1]
+        protos.append(local_prototypes(h, c.data.labels, cfg.num_classes))
+    return params, protos, means
 
 
-def aggregate_params(
-    client_params: list[ModelParams], sample_counts: list[int]
-) -> ModelParams:
-    """Elementwise average weighted by |D_m| / sum|D_m|, reduced in list order
-    on the flat parameter vectors."""
-    if not client_params:
-        raise ValueError("nothing to aggregate")
+def aggregate_params(client_params: ModelParams, sample_counts: list[int]) -> ModelParams:
+    """Elementwise average of the (M, P) stack's rows weighted by
+    |D_m| / sum|D_m|, summed row by row in order."""
     counts = np.asarray(sample_counts, dtype=np.float64)
-    if counts.shape != (len(client_params),):
-        raise ValueError("one sample count per client required")
+    if counts.shape != client_params.flat.shape[:1]:
+        raise ValueError("one sample count per client row required")
+    if counts.size == 0:
+        raise ValueError("nothing to aggregate")
     if np.any(counts <= 0):
         raise ValueError("sample counts must be positive")
     weights = counts / counts.sum()
-    shapes = client_params[0].shapes
-    acc = weights[0] * client_params[0].flat
-    for w, params in zip(weights[1:], client_params[1:]):
-        if params.shapes != shapes:
-            raise ValueError("client parameter shapes do not match")
-        acc = acc + w * params.flat
-    return ModelParams(acc, shapes)
+    acc = weights[0] * client_params.flat[0]
+    for w, row in zip(weights[1:], client_params.flat[1:]):
+        acc = acc + w * row
+    return ModelParams(acc, client_params.shapes)
 
 
 def evaluate(params: ModelParams, test_sets: dict[int, SampleSet]) -> dict[int, float]:
@@ -291,17 +286,15 @@ def run_round(
         raise ValueError("no clients")
     ordered = sorted(clients, key=lambda c: c.client_id)
     try:
-        results = local_updates(ordered, server.global_params, server.generalized, cfg)
+        params, prototype_sets, means = local_updates(
+            ordered, server.global_params, server.generalized, cfg
+        )
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {server.round}, {exc}") from exc
 
-    new_global = aggregate_params(
-        [r.params for r in results], [len(c.data) for c in ordered]
-    )
-    prototype_sets = [r.prototypes for r in results]
+    new_global = aggregate_params(params, [len(c.data) for c in ordered])
     if cfg.aggregator_mode == "reweight":
-        mu = average_prototypes(prototype_sets)
-        fresh, _ = reweight(prototype_sets, mu)
+        fresh, _ = reweight(prototype_sets)
         generalized = ema_update(fresh, server.generalized, cfg.beta)
     elif cfg.aggregator_mode == "average":
         generalized = average_prototypes(prototype_sets)
@@ -309,11 +302,8 @@ def run_round(
         raise ValueError(f"unknown aggregator mode {cfg.aggregator_mode!r}")
 
     accuracy = evaluate(new_global, test_sets)
-    mean_losses = total_loss(
-        sum(r.losses.ce for r in results) / len(results),
-        sum(r.losses.gpcl for r in results) / len(results),
-        sum(r.losses.apa for r in results) / len(results),
-    )
+    # Python's row-order sum: np.mean would sum pairwise, other bits from M = 8
+    mean_losses = total_loss(*(sum(row.tolist()) / len(ordered) for row in means))
     # the average accuracy is the unweighted mean over domains
     average = sum(accuracy.values()) / len(accuracy)
     report = RoundReport(server.round, accuracy, average, mean_losses)
@@ -358,7 +348,7 @@ class ExperimentResult:
     reports: list[RoundReport]
     summary: dict
     final_params: ModelParams
-    final_generalized: PrototypeSet | None
+    final_generalized: PrototypeSet
 
 
 def summarize(reports: list[RoundReport]) -> dict:

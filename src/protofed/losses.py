@@ -38,6 +38,17 @@ def total_loss(ce: float, gpcl: float, apa: float) -> LossBreakdown:
     return LossBreakdown(ce, gpcl, apa, ce + gpcl + apa)
 
 
+def _softmax_xent(z: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-log softmax(z)[target] per row over the last axis, and its unscaled
+    gradient softmax(z) - onehot(target); each caller applies its own scale."""
+    picks = target.reshape(-1) + z.shape[-1] * np.arange(target.size)  # flat z[..., target]
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    grad = np.exp(shifted - lse[..., None])
+    grad.reshape(-1)[picks] -= 1.0
+    return lse - shifted.reshape(-1)[picks].reshape(target.shape), grad
+
+
 def cross_entropy(logits, labels) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean -log softmax(z)[y] over the batch; grad rows (softmax - onehot)/B.
 
@@ -46,13 +57,9 @@ def cross_entropy(logits, labels) -> tuple[float | np.ndarray, np.ndarray]:
     each bitwise the loss of that client's batch alone.
     """
     z, y = check_batch(logits, labels, np.shape(logits)[-1])
-    b, k = z.shape[-2:]
-    picks = y.reshape(-1) + k * np.arange(y.size)  # flat index of each z[..., y]
-    shifted = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    loss = (lse - shifted.reshape(-1)[picks].reshape(y.shape)).sum(axis=-1) / b
-    grad = np.exp(shifted - lse[..., None])
-    grad.reshape(-1)[picks] -= 1.0
+    b = z.shape[-2]
+    rows, grad = _softmax_xent(z, y)
+    loss = rows.sum(axis=-1) / b
     return (float(loss) if z.ndim == 2 else loss), grad / b
 
 
@@ -104,16 +111,9 @@ def gpcl_loss(features, labels, targets: GpclTargets, tau: float):
     sims_raw, norms, nh = _cosine_matrix(h, protos, ng)
     sims = np.clip(sims_raw, -1.0, 1.0)
 
-    b = h.shape[-2]
-    picks = pos.reshape(-1) + len(protos) * np.arange(pos.size)  # as in cross_entropy
-    z = sims / tau
-    shifted = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    loss = np.mean(lse - shifted.reshape(-1)[picks].reshape(y.shape), axis=-1)
-
-    dsim = np.exp(shifted - lse[..., None])
-    dsim.reshape(-1)[picks] -= 1.0
-    dsim /= b * tau
+    rows, dsim = _softmax_xent(sims / tau, pos)
+    loss = np.mean(rows, axis=-1)
+    dsim /= h.shape[-2] * tau
     dsim[np.abs(sims_raw) > 1.0] = 0.0  # clamp region: flat
 
     # d s_ik / d h_i = p_k / (|h| |p_k|) - s_ik * h_i / |h|^2 on the interior;

@@ -153,22 +153,20 @@ def average_prototypes(client_sets: list[PrototypeSet]) -> PrototypeSet:
     return PrototypeSet(out, support)
 
 
-def reweight(
-    client_sets: list[PrototypeSet], mu: PrototypeSet
-) -> tuple[PrototypeSet, ReweightReport]:
+def reweight(client_sets: list[PrototypeSet]) -> tuple[PrototypeSet, ReweightReport]:
     """Distance-reweighted combination: per class, clients further from the
-    per-class mean get proportionally more weight.
+    per-class client mean (average_prototypes of the same sets, taken here)
+    get proportionally more weight; d_m is the squared L2 distance from it.
 
     Weights are d_m / sum(d_m); when the distances are degenerate (all
     contributing prototypes coincide with the mean, including the
     single-client case) they fall back to uniform and the report flags it.
     """
+    mu = average_prototypes(client_sets)
     vectors, present, support = _stack_sets(client_sets)
     out = np.zeros(vectors.shape[1:])
     report: dict[int, ClassReweight] = {}
     for k in np.flatnonzero(support):
-        if not mu.present[k]:
-            raise ValueError(f"class {k} present in client sets but missing from mean")
         clients = np.flatnonzero(present[:, k])
         stacked = vectors[clients, k]
         dists = np.array([np.dot(diff, diff) for diff in stacked - mu.vectors[k]])

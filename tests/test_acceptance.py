@@ -65,7 +65,7 @@ def test_criterion_1_reweight_matches_naive_oracle(tmp_path):
         k = int(rng.integers(1, 7))
         d = int(rng.integers(2, 33))
         sets = random_client_sets(rng, m, k, d)
-        got, rep = reweight(sets, average_prototypes(sets))
+        got, rep = reweight(sets)
         naive = naive_reweight(sets)
         for cls, vec in naive.items():
             dev = float(np.max(np.abs(got.vectors[cls] - np.asarray(vec))))
@@ -109,14 +109,14 @@ def test_criterion_2_equivariance_suite():
         k = int(rng.integers(1, 5))
         d = int(rng.integers(2, 17))
         sets = random_client_sets(rng, m, k, d)
-        base, base_rep = reweight(sets, average_prototypes(sets))
+        base, base_rep = reweight(sets)
 
         c = rng.normal(size=d)
         shifted = [
             PrototypeSet(np.where(s.present[:, None], s.vectors + c, 0.0), s.support)
             for s in sets
         ]
-        moved, moved_rep = reweight(shifted, average_prototypes(shifted))
+        moved, moved_rep = reweight(shifted)
         for kk in np.flatnonzero(base.present):
             assert np.allclose(moved.vectors[kk], base.vectors[kk] + c, atol=1e-9)
             assert np.allclose(
@@ -125,7 +125,7 @@ def test_criterion_2_equivariance_suite():
 
         s_pos = float(rng.uniform(0.2, 5.0))
         scaled = [PrototypeSet(s.vectors * s_pos, s.support) for s in sets]
-        big, big_rep = reweight(scaled, average_prototypes(scaled))
+        big, big_rep = reweight(scaled)
         for kk in np.flatnonzero(base.present):
             assert np.allclose(big.vectors[kk], base.vectors[kk] * s_pos, atol=1e-9)
             assert np.allclose(
@@ -134,7 +134,7 @@ def test_criterion_2_equivariance_suite():
 
         perm = rng.permutation(m)
         permuted = [sets[i] for i in perm]
-        back, _ = reweight(permuted, average_prototypes(permuted))
+        back, _ = reweight(permuted)
         avg_a = average_prototypes(sets)
         avg_b = average_prototypes(permuted)
         for kk in np.flatnonzero(base.present):

@@ -151,6 +151,20 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "config error: arch feature width" in capsys.readouterr().err
 
+    def test_synthetic_input_width_one_exits_2(self, tmp_path, capsys):
+        # the synthetic generator needs two input columns; a CSV may have one
+        bad = tmp_path / "bad.txt"
+        bad.write_text(TINY_CONFIG.replace("arch = 8, 12, 6", "arch = 1, 8"), encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: arch input width" in capsys.readouterr().err
+        rows = tmp_path / "one_column.csv"
+        rows.write_text("x0,label,domain\n" + "".join(
+            f"{0.1 * i - 2.0 * (i % 3)},{i % 3},{i % 2}\n" for i in range(60)
+        ), encoding="utf-8")
+        good = tmp_path / "good.txt"
+        good.write_text(bad.read_text() + f"csv_path = {rows}\n", encoding="utf-8")
+        assert main(["run", "--config", str(good), "--out", str(tmp_path / "o")]) == 0
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # the last two are removed keys: a config that still sets one must
         # fail, not run without it

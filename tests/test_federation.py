@@ -41,9 +41,16 @@ def toy_params(seed=0, k=2, dim=8):
 
 
 def solo_update(client, global_params, generalized, cfg):
-    """local_updates on one client alone."""
-    [result] = local_updates([client], global_params, generalized, cfg)
-    return result
+    """local_updates on one client alone: its trained parameters, local
+    prototypes and (3,) mean CE, GPCL and APA."""
+    params, [protos], means = local_updates([client], global_params, generalized, cfg)
+    assert params.flat.shape == (1, global_params.flat.size) and means.shape == (3, 1)
+    return ModelParams(params.flat[0], params.shapes), protos, means[:, 0]
+
+
+def stack(*client_params):
+    """The (M, P) stack of the given models, one per row."""
+    return ModelParams(np.stack([p.flat for p in client_params]), client_params[0].shapes)
 
 
 class TestLocalUpdate:
@@ -61,31 +68,31 @@ class TestLocalUpdate:
             num_classes=2,
         )
         params = toy_params()
-        result = solo_update(client, params, None, cfg)
-        assert np.array_equal(result.params.flat, params.flat)
+        trained, protos, (_, gpcl, apa) = solo_update(client, params, None, cfg)
+        assert np.array_equal(trained.flat, params.flat)
         h = forward(params, client.data.x).acts[-1]
-        for k in np.flatnonzero(result.prototypes.present):
+        for k in np.flatnonzero(protos.present):
             expected = h[client.data.labels == k].mean(axis=0)
-            assert np.allclose(result.prototypes.vectors[k], expected, atol=1e-12)
-        assert result.losses.gpcl == 0.0 and result.losses.apa == 0.0
+            assert np.allclose(protos.vectors[k], expected, atol=1e-12)
+        assert gpcl == 0.0 and apa == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_separable_toy_training_accuracy(self, seed):
         client = toy_client(seed=seed)
         cfg = replace(TINY, epochs=10, num_classes=2)
-        result = solo_update(client, toy_params(seed=seed), None, cfg)
-        logits = forward(result.params, client.data.x).logits_2d
+        trained, _, _ = solo_update(client, toy_params(seed=seed), None, cfg)
+        logits = forward(trained, client.data.x).logits_2d
         acc = float(np.mean(np.argmax(logits, axis=1) == client.data.labels))
         assert acc >= 0.95
 
     def test_bitwise_deterministic(self):
         cfg = replace(TINY, num_classes=2)
-        a = solo_update(toy_client(3), toy_params(3), None, cfg)
-        b = solo_update(toy_client(3), toy_params(3), None, cfg)
-        assert np.array_equal(a.params.flat, b.params.flat)
-        for k in np.flatnonzero(a.prototypes.present):
-            assert np.array_equal(a.prototypes.vectors[k], b.prototypes.vectors[k])
-        assert a.losses == b.losses
+        a_params, a_protos, a_means = solo_update(toy_client(3), toy_params(3), None, cfg)
+        b_params, b_protos, b_means = solo_update(toy_client(3), toy_params(3), None, cfg)
+        assert np.array_equal(a_params.flat, b_params.flat)
+        for k in np.flatnonzero(a_protos.present):
+            assert np.array_equal(a_protos.vectors[k], b_protos.vectors[k])
+        assert a_means.tolist() == b_means.tolist()
 
     def test_batch_size_clamped(self):
         client = toy_client()
@@ -96,44 +103,44 @@ class TestLocalUpdate:
 class TestAggregateParams:
     def test_single_client_identity(self):
         p = init_params(keyed_rng(0, 0), [4, 3], 2)
-        out = aggregate_params([p], [7])
+        out = aggregate_params(stack(p), [7])
         assert out.shapes == p.shapes and np.array_equal(p.flat, out.flat)
 
     def test_opposite_params_cancel(self):
         p = init_params(keyed_rng(1, 0), [4, 3], 2)
         neg = ModelParams(-p.flat, p.shapes)
-        out = aggregate_params([p, neg], [5, 5])
+        out = aggregate_params(stack(p, neg), [5, 5])
         assert np.allclose(out.flat, 0.0, atol=1e-18)
 
     def test_weighted_scalar_case(self):
         base = params_from_layers([(np.array([[0.0]]), np.zeros(1)), (np.zeros((2, 1)), np.zeros(2))])
         four = params_from_layers([(np.array([[4.0]]), np.zeros(1)), (np.zeros((2, 1)), np.zeros(2))])
-        out = aggregate_params([base, four], [1, 3])
+        out = aggregate_params(stack(base, four), [1, 3])
         assert out.extractor[0][0][0, 0] == pytest.approx(3.0, abs=0)
 
     def test_equal_counts_is_mean(self):
         ps = [init_params(keyed_rng(s, 0), [4, 3], 2) for s in range(4)]
-        out = aggregate_params(ps, [5, 5, 5, 5])
+        out = aggregate_params(stack(*ps), [5, 5, 5, 5])
         mean = np.mean([p.flat for p in ps], axis=0)
         assert np.allclose(out.flat, mean, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
+        # the number of client rows must equal the number of counts
         a = init_params(keyed_rng(0, 0), [4, 3], 2)
-        b = init_params(keyed_rng(0, 0), [4, 4], 2)
-        with pytest.raises(ValueError):
-            aggregate_params([a, b], [1, 1])
-        # same parameter count, different layer shapes
-        c = ModelParams(np.zeros(7), [(1, 2), (2, 1)])
-        d = ModelParams(np.zeros(7), [(2, 1), (1, 2)])
-        with pytest.raises(ValueError, match="shapes do not match"):
-            aggregate_params([c, d], [1, 1])
+        b = init_params(keyed_rng(1, 0), [4, 3], 2)
+        for counts in ([1], [1, 1, 1]):
+            with pytest.raises(ValueError, match="one sample count per client row"):
+                aggregate_params(stack(a, b), counts)
+        # a single model's 1-D vector is not a stack of rows
+        with pytest.raises(ValueError, match="one sample count per client row"):
+            aggregate_params(a, [1])
 
     def test_bad_counts_rejected(self):
         p = init_params(keyed_rng(0, 0), [4, 3], 2)
         with pytest.raises(ValueError):
-            aggregate_params([p], [0])
+            aggregate_params(stack(p), [0])
         with pytest.raises(ValueError):
-            aggregate_params([], [])
+            aggregate_params(ModelParams(np.empty((0, p.flat.size)), p.shapes), [])
 
 
 class TestEvaluate:
@@ -179,15 +186,13 @@ class TestRunRound:
         cfg = replace(TINY, clients_per_domain=(1,), num_domains=1, beta=1.0)
         clients, test_sets, theta0 = build_problem(cfg)
         server = ServerState(0, theta0, None)
-        local = solo_update(clients[0], theta0, None, cfg)
+        local_params, local_protos, _ = solo_update(clients[0], theta0, None, cfg)
         # fresh client (same rng stream) for the round itself
         clients2, _, _ = build_problem(cfg)
         new_server, report = run_round(server, clients2, test_sets, cfg)
-        assert np.array_equal(new_server.global_params.flat, local.params.flat)
-        for k in np.flatnonzero(local.prototypes.present):
-            assert np.array_equal(
-                new_server.generalized.vectors[k], local.prototypes.vectors[k]
-            )
+        assert np.array_equal(new_server.global_params.flat, local_params.flat)
+        for k in np.flatnonzero(local_protos.present):
+            assert np.array_equal(new_server.generalized.vectors[k], local_protos.vectors[k])
         assert new_server.round == 1 and report.round == 0
 
     def test_aggregator_modes_diverge(self):
@@ -313,10 +318,10 @@ class TestNaiveLoopStructure:
         base, params = toy_client(seed=5), toy_params(seed=5)
         twin_a = ClientState(0, base.data, keyed_rng(5, 0))
         twin_b = ClientState(1, base.data, keyed_rng(5, 0))
-        res_a, res_b = local_updates([twin_a, twin_b], params, None, cfg)
-        assert np.array_equal(res_a.params.flat, res_b.params.flat)
-        merged = aggregate_params([res_a.params, res_b.params], [len(base.data)] * 2)
-        assert np.array_equal(merged.flat, res_a.params.flat)
+        trained, _, _ = local_updates([twin_a, twin_b], params, None, cfg)
+        assert np.array_equal(trained.flat[0], trained.flat[1])
+        merged = aggregate_params(trained, [len(base.data)] * 2)
+        assert np.array_equal(merged.flat, trained.flat[0])
 
 
 class TestFedAvgDegeneracy:
@@ -354,14 +359,17 @@ def _seed_prototypes(clients, params):
     )
 
 
-def _assert_same_result(a, b):
-    assert a.params.shapes == b.params.shapes
-    assert np.array_equal(a.params.flat, b.params.flat)
-    assert np.array_equal(a.prototypes.present, b.prototypes.present)
-    for k in np.flatnonzero(a.prototypes.present):
-        assert np.array_equal(a.prototypes.vectors[k], b.prototypes.vectors[k])
-        assert a.prototypes.support[k] == b.prototypes.support[k]
-    assert a.losses == b.losses
+def _assert_same_row(a, i, b, j):
+    """Client row i of one local_updates result equals row j of another,
+    bitwise: parameters, local prototypes and loss means."""
+    (a_params, a_protos, a_means), (b_params, b_protos, b_means) = a, b
+    assert a_params.shapes == b_params.shapes
+    assert np.array_equal(a_params.flat[i], b_params.flat[j])
+    assert np.array_equal(a_protos[i].present, b_protos[j].present)
+    for k in np.flatnonzero(a_protos[i].present):
+        assert np.array_equal(a_protos[i].vectors[k], b_protos[j].vectors[k])
+        assert a_protos[i].support[k] == b_protos[j].support[k]
+    assert a_means[:, i].tolist() == b_means[:, j].tolist()
 
 
 LOCKSTEP = replace(TINY, clients_per_domain=(3, 2), epochs=2, batch_size=8)
@@ -387,10 +395,13 @@ class TestLockstep:
         if sizes is None:  # synthetic clients are all the same size
             assert len({len(c.data) for c in clients}) == 1
         together = local_updates(clients, theta0, generalized, cfg)
-        for i, result in enumerate(together):
+        params, protos, means = together
+        assert params.flat.shape == (len(clients), theta0.flat.size)
+        assert len(protos) == len(clients) and means.shape == (3, len(clients))
+        for i in range(len(clients)):
             alone_clients, _ = _fresh_clients(cfg, sizes)
-            [alone] = local_updates([alone_clients[i]], theta0, generalized, cfg)
-            _assert_same_result(result, alone)
+            alone = local_updates([alone_clients[i]], theta0, generalized, cfg)
+            _assert_same_row(together, i, alone, 0)
 
     @pytest.mark.parametrize("mixup_mode", ["off", "input"])
     def test_global_params_left_unchanged(self, mixup_mode):
@@ -399,19 +410,19 @@ class TestLockstep:
         clients, theta0 = _fresh_clients(cfg, (23, 8, 17, 5, 23))
         generalized = _seed_prototypes(clients, theta0)
         before = theta0.flat.copy()
-        results = local_updates(clients, theta0, generalized, cfg)
+        params, _, _ = local_updates(clients, theta0, generalized, cfg)
         assert theta0.flat.tobytes() == before.tobytes()
-        for r in results:
-            assert not np.shares_memory(r.params.flat, theta0.flat)
-            assert not np.array_equal(r.params.flat, before)
+        assert not np.shares_memory(params.flat, theta0.flat)
+        for row in params.flat:
+            assert not np.array_equal(row, before)
 
     def test_results_in_client_id_order(self):
         clients, theta0 = _fresh_clients(LOCKSTEP, (23, 8, 17, 5, 23))
         forward_order = local_updates(clients, theta0, None, LOCKSTEP)
         clients, _ = _fresh_clients(LOCKSTEP, (23, 8, 17, 5, 23))
         reverse_order = local_updates(clients[::-1], theta0, None, LOCKSTEP)
-        for a, b in zip(forward_order, reverse_order):
-            _assert_same_result(a, b)
+        for i in range(len(clients)):
+            _assert_same_row(forward_order, i, reverse_order, i)
 
     def test_first_failing_step_then_lowest_client(self):
         # FedAvg mode, one epoch, batches of 4: a NaN input row fails the

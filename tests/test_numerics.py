@@ -60,13 +60,16 @@ class TestCosineSimilarity:
         )
 
 
-def reweight_distance(u, v) -> float:
-    """The squared L2 distance reweight() measures from one client's
-    prototype u to the class mean v."""
-    def one_class(vec):
-        return PrototypeSet(np.array([vec], dtype=np.float64), np.array([1]))
+def one_class(vec) -> PrototypeSet:
+    return PrototypeSet(np.array([vec], dtype=np.float64), np.array([1]))
 
-    _, report = reweight([one_class(u)], one_class(v))
+
+def reweight_distance(u, v) -> float:
+    """The squared L2 distance reweight() measures from a client's prototype
+    u to the class mean: the clients are u and 2v - u, whose mean is v
+    whenever 2v - u is exact."""
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    _, report = reweight([one_class(u), one_class(2 * v - u)])
     return report.per_class[0].distances[0]
 
 
@@ -92,9 +95,12 @@ class TestSqL2Distance:
     def test_symmetry_nonnegativity(self, values):
         u = np.array(values)
         v = u[::-1].copy()
-        d = reweight_distance(u, v)
-        assert d >= 0.0
-        assert d == reweight_distance(v, u)
+        assert reweight_distance(u, v) >= 0.0
+        # two clients: swapping them swaps their distances from the mean
+        uv = reweight([one_class(u), one_class(v)])[1].per_class[0].distances
+        vu = reweight([one_class(v), one_class(u)])[1].per_class[0].distances
+        assert np.all(uv >= 0.0)
+        assert uv.tolist() == vu[::-1].tolist()
 
 
 class TestRng:

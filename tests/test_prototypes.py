@@ -172,7 +172,7 @@ class TestInitialMeanAndAverage:
     def test_average_separates_from_reweight(self):
         sets = [pset({0: [0.0, 0.0]}), pset({0: [0.0, 0.0]}), pset({0: [3.0, 0.0]})]
         avg = average_prototypes(sets)
-        rw, _ = reweight(sets, average_prototypes(sets))
+        rw, _ = reweight(sets)
         assert np.allclose(avg.vectors[0], [1.0, 0.0], atol=1e-12)
         assert np.allclose(rw.vectors[0], [2.0, 0.0], atol=1e-12)
 
@@ -188,36 +188,30 @@ class TestInitialMeanAndAverage:
 class TestReweight:
     def test_symmetric_two_clients(self):
         sets = [pset({0: [0.0, 0.0]}), pset({0: [2.0, 0.0]})]
-        out, report = reweight(sets, average_prototypes(sets))
+        out, report = reweight(sets)
         assert np.allclose(out.vectors[0], [1.0, 0.0], atol=1e-12)
         assert np.allclose(report.per_class[0].weights, [0.5, 0.5], atol=1e-12)
         assert not report.per_class[0].fallback
 
     def test_three_client_hand_case(self):
         sets = [pset({0: [0.0, 0.0]}), pset({0: [0.0, 0.0]}), pset({0: [3.0, 0.0]})]
-        out, report = reweight(sets, average_prototypes(sets))
+        out, report = reweight(sets)
         assert np.allclose(report.per_class[0].distances, [1.0, 1.0, 4.0], atol=1e-12)
         assert np.allclose(report.per_class[0].weights, [1 / 6, 1 / 6, 4 / 6], atol=1e-12)
         assert np.allclose(out.vectors[0], [2.0, 0.0], atol=1e-12)
 
     def test_single_client_fallback(self):
         sets = [pset({0: [5.0, -1.0]})]
-        out, report = reweight(sets, average_prototypes(sets))
+        out, report = reweight(sets)
         assert np.array_equal(out.vectors[0], [5.0, -1.0])
         assert report.per_class[0].fallback
 
     def test_identical_prototypes_uniform(self):
         sets = [pset({0: [1.0, 1.0]}) for _ in range(4)]
-        out, report = reweight(sets, average_prototypes(sets))
+        out, report = reweight(sets)
         assert report.per_class[0].fallback
         assert np.allclose(report.per_class[0].weights, 0.25, atol=0)
         assert np.allclose(out.vectors[0], [1.0, 1.0], atol=1e-12)
-
-    def test_missing_mu_class_rejected(self):
-        sets = [pset({0: [1.0, 0.0], 1: [0.0, 1.0]})]
-        bad_mu = DictPrototypeSet({0: Prototype(np.array([1.0, 0.0]), 1)}).to_dense(2)
-        with pytest.raises(ValueError):
-            reweight(sets, bad_mu)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
@@ -225,7 +219,7 @@ class TestReweight:
             sets = random_client_sets(
                 rng, int(rng.integers(2, 9)), int(rng.integers(1, 7)), int(rng.integers(2, 33))
             )
-            got, _ = reweight(sets, average_prototypes(sets))
+            got, _ = reweight(sets)
             naive = naive_reweight(sets)
             for k, vec in naive.items():
                 assert np.max(np.abs(got.vectors[k] - np.asarray(vec))) < 1e-12
@@ -235,7 +229,7 @@ class TestReweight:
     def test_weights_sum_and_convex_hull(self, seed):
         rng = np.random.default_rng(seed)
         sets = random_client_sets(rng, 5, 3, 4)
-        got, report = reweight(sets, average_prototypes(sets))
+        got, report = reweight(sets)
         for k, info in report.per_class.items():
             assert abs(info.weights.sum() - 1.0) < 1e-9
             assert np.all(info.weights >= 0)
@@ -252,8 +246,8 @@ class TestReweight:
             PrototypeSet(np.where(s.present[:, None], s.vectors + c, 0.0), s.support)
             for s in sets
         ]
-        base, base_rep = reweight(sets, average_prototypes(sets))
-        moved, moved_rep = reweight(shifted, average_prototypes(shifted))
+        base, base_rep = reweight(sets)
+        moved, moved_rep = reweight(shifted)
         for k in np.flatnonzero(base.present):
             assert np.allclose(moved.vectors[k], base.vectors[k] + c, atol=1e-9)
             assert np.allclose(
@@ -265,8 +259,8 @@ class TestReweight:
         sets = random_client_sets(rng, 5, 3, 4)
         s = 3.7
         scaled = [PrototypeSet(st_.vectors * s, st_.support) for st_ in sets]
-        base, base_rep = reweight(sets, average_prototypes(sets))
-        big, big_rep = reweight(scaled, average_prototypes(scaled))
+        base, base_rep = reweight(sets)
+        big, big_rep = reweight(scaled)
         for k in np.flatnonzero(base.present):
             assert np.allclose(big.vectors[k], base.vectors[k] * s, atol=1e-9)
             assert np.allclose(
@@ -276,8 +270,8 @@ class TestReweight:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
         sets = random_client_sets(rng, 6, 3, 5)
-        a, _ = reweight(sets, average_prototypes(sets))
-        b, _ = reweight(sets[::-1], average_prototypes(sets[::-1]))
+        a, _ = reweight(sets)
+        b, _ = reweight(sets[::-1])
         for k in np.flatnonzero(a.present):
             assert np.allclose(a.vectors[k], b.vectors[k], atol=1e-12)
 
