@@ -5,12 +5,12 @@ no timestamps, sorted keys, fixed float formatting. Exit codes: 0 success,
 2 configuration error, 3 runtime error. PROTOFED_THREADS sets how many
 worker processes run the independent sub-runs of a sweep or an ablation
 (default 1: one after another in this process); it never changes results.
-The workers are forked from this process, so a value above 1 needs a
-platform with the fork start method. Sweep and ablate share one sub-run
-worker, which trains a config that several sub-runs share once and copies
-its artifacts, and which never raises: a failed sweep value becomes an error
-row, and a failed ablation exits 3 only once every distinct config has run,
-so the output tree is the same at any thread count.
+The workers are bare os.fork children of this process, so a value above 1
+needs a platform with fork. Sweep and ablate share one sub-run worker, which
+trains a config that several sub-runs share once and copies its artifacts,
+and which never raises: a failed sweep value becomes an error row, and a
+failed ablation exits 3 only once every distinct config has run, so the
+output tree is the same at any thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import json
 import os
+import pickle
 import shutil
 import sys
 from pathlib import Path
@@ -61,26 +62,55 @@ def _map_subruns(worker, items: list) -> list:
     """[worker(item) for item in items], run by PROTOFED_THREADS processes
     forked from this one when that is above 1; rows come back in input order.
 
-    Forked workers inherit the program already imported here instead of
-    importing it again. Fork is safe because this process has no other thread
-    when it forks: `sweep` and `ablate` start none before the pool, OpenBLAS
-    stops its own threads in its fork handler, and the fork-context executor
-    forks all its workers before it starts its manager thread. Fork flushes
-    stdio first, so no buffered output is written twice. The pool is imported
-    here because `run` needs none."""
+    Workers pull item indices from one task pipe, in input order, and pickle
+    their rows back through their own pipes. The bare fork is safe: no other
+    thread runs here (OpenBLAS stops its own at fork), stdio is flushed first,
+    workers leave by os._exit, and all are reaped before this returns or raises."""
     threads = _threads()
     if threads == 1:
         return [worker(item) for item in items]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise ConfigError(
-            "PROTOFED_THREADS above 1 needs the fork start method, which this platform lacks"
-        )
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(threads, len(items)), mp_context=context) as pool:
-        return list(pool.map(worker, items))
+    if not hasattr(os, "fork"):
+        raise ConfigError("PROTOFED_THREADS above 1 needs os.fork, which this platform lacks")
+    sys.stdout.flush()
+    sys.stderr.flush()
+    task_read, task_write = os.pipe()
+    workers = []  # (pid, read end of its result pipe)
+    try:
+        for _ in range(min(threads, len(items))):
+            result_read, result_write = os.pipe()
+            if (pid := os.fork()) == 0:  # a worker: it leaves only through os._exit
+                try:
+                    for fd in (task_write, result_read, *(fd for _, fd in workers)):
+                        os.close(fd)
+                    done = {}
+                    while chunk := os.read(task_read, 4):
+                        index = int.from_bytes(chunk, "little")
+                        done[index] = worker(items[index])
+                    with open(result_write, "wb") as pipe:
+                        pickle.dump(done, pipe)
+                    os._exit(0)
+                except Exception:  # traceback to stderr, exit status to the parent
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(1)
+            os.close(result_write)
+            workers.append((pid, result_read))
+        for index in range(len(items)):  # 4 bytes <= PIPE_BUF: no read splits an index
+            os.write(task_write, index.to_bytes(4, "little"))
+    finally:
+        os.close(task_read)
+        os.close(task_write)
+        outputs = []
+        for _, fd in workers:
+            with open(fd, "rb") as pipe:
+                outputs.append(pipe.read())
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
+    for (pid, _), code in zip(workers, codes):
+        if code != 0:  # a worker exits 0 only once all its rows are written
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"sub-run worker {pid} ended by {how} without all its rows")
+    rows = {index: row for output in outputs for index, row in pickle.loads(output).items()}
+    return [rows[index] for index in range(len(items))]
 
 
 def execute_run(cfg: ExperimentConfig) -> ExperimentResult:

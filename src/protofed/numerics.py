@@ -56,4 +56,4 @@ def sample_beta(rng: np.random.Generator, alpha: float, size=None):
     numpy's draws can be exactly 1.0 (about 8% of them at alpha = 0.05)."""
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
-    return np.clip(rng.beta(alpha, alpha, size), 5e-324, 1.0 - 2**-53)
+    return np.minimum(np.maximum(rng.beta(alpha, alpha, size), 5e-324), 1.0 - 2**-53)

@@ -66,23 +66,20 @@ def local_prototypes(features, labels, num_classes: int) -> PrototypeSet:
 
     Takes one batch, (N, d) features with (N,) labels, or a stack of G
     batches, (G, N, d) with (G, N), and returns the matching (K, d) or
-    (G, K, d) set. Each class's rows are summed in row order through one
-    padded (G, K, max_count, d) array whose unused slots hold -0.0, the
-    exact additive identity, so the padding changes no sum: for d >= 2 the
-    result is bitwise ``h[y == k].mean(axis=0)``. (numpy sums a single
-    column pairwise, not row by row; validate_config rejects d = 1.)
-    ``np.add.reduceat`` over the label-sorted rows is not a drop-in
-    replacement: its axis-0 sums differ in the last bits from that row-order
-    sum.
+    (G, K, d) set. One unbuffered ``np.add.at`` adds the rows into their
+    (member, class) sums in row order from +0.0, as numpy's own axis-0 sum
+    does, so for d >= 2 the result is bitwise ``h[y == k].mean(axis=0)``
+    (numpy sums a single column pairwise; validate_config rejects d = 1).
+    ``np.add.reduceat`` over the label-sorted rows differs in the last bits.
     """
     h, y = check_batch(features, labels, num_classes)
     hs, ys = (h, y) if h.ndim == 3 else (h[None], y[None])
-    ranks = np.cumsum(ys[..., None] == np.arange(num_classes), axis=1)
-    counts = ranks[:, -1]  # (G, K)
-    padded = np.full(counts.shape + (counts.max(), h.shape[-1]), -0.0)
-    rank = np.take_along_axis(ranks, ys[..., None], axis=2)[..., 0] - 1
-    padded[np.arange(len(ys))[:, None], ys, rank] = hs
-    sums = padded.sum(axis=2)
+    d = h.shape[-1]
+    cells = (ys + num_classes * np.arange(len(ys))[:, None]).reshape(-1)  # flat (member, class)
+    counts = np.bincount(cells, minlength=len(ys) * num_classes).reshape(len(ys), num_classes)
+    sums = np.zeros(counts.shape + (d,))
+    # one flat index per element, as numpy's fast add.at path is the 1-D one
+    np.add.at(sums.reshape(-1), (cells[:, None] * d + np.arange(d)).reshape(-1), hs.reshape(-1))
     present = counts[..., None] > 0
     vectors = np.divide(sums, counts[..., None], out=np.zeros_like(sums), where=present)
     return PrototypeSet(vectors, counts) if h.ndim == 3 else PrototypeSet(vectors[0], counts[0])

@@ -1,6 +1,5 @@
-"""Shared fixtures; the million-draw Beta samples and the desk-scale
-benchmark runs are computed once per session and reused by the unit tests
-and the acceptance suite."""
+"""Shared fixtures and configs; the million-draw Beta samples are computed
+once per session and reused by the unit tests and the acceptance suite."""
 
 from __future__ import annotations
 
@@ -32,19 +31,6 @@ def beta_draws():
         if alpha not in cache:
             cache[alpha] = sample_beta(keyed_rng(123, 7), alpha, n)
         return cache[alpha]
-
-    return get
-
-
-@pytest.fixture(scope="session")
-def benchmark_runs():
-    """seed -> full-method run of the default desk benchmark."""
-    cache = {}
-
-    def get(seed: int):
-        if seed not in cache:
-            cache[seed] = run_experiment(replace(BENCHMARK, seed=seed))
-        return cache[seed]
 
     return get
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from protofed.cli import main
+from protofed.cli import _map_subruns, main
 from protofed.config import ExperimentConfig
 from protofed.federation import run_experiment
 from protofed.losses import cross_entropy, gpcl_targets
@@ -19,7 +19,7 @@ from protofed.model import ModelParams, forward, init_params, params_from_layers
 from protofed.numerics import keyed_rng
 from protofed.prototypes import PrototypeSet, average_prototypes, ema_update, reweight
 
-from conftest import SKEWED_VARIANT
+from conftest import BENCHMARK, SKEWED_VARIANT
 from oracles import (
     DictPrototypeSet,
     OracleReport,
@@ -278,17 +278,15 @@ def test_criterion_6_fedavg_degeneracy(fedavg_pair):
     report(6, "FedAvg degeneracy (bitwise, 30 rounds)", ok)
 
 
-def test_criterion_7_desk_scale_convergence(benchmark_runs):
-    accs = []
-    times = []
-    ok = True
-    for seed in range(5):
+def test_criterion_7_desk_scale_convergence(monkeypatch):
+    def timed_run(seed):  # each run is timed by itself, inside its worker
         start = time.time()
-        res = benchmark_runs(seed)
-        times.append(time.time() - start)
-        acc = res.summary["average_accuracy"]
-        accs.append(acc)
-        ok = ok and acc >= 0.90
+        acc = run_experiment(replace(BENCHMARK, seed=seed)).summary["average_accuracy"]
+        return acc, time.time() - start
+
+    monkeypatch.setenv("PROTOFED_THREADS", "2")
+    accs, times = zip(*_map_subruns(timed_run, list(range(5))))
+    ok = all(acc >= 0.90 for acc in accs)
     ok = ok and max(times) < 120.0
     report(
         7,
@@ -298,7 +296,7 @@ def test_criterion_7_desk_scale_convergence(benchmark_runs):
     )
 
 
-def test_criterion_8_ablation_separation():
+def test_criterion_8_ablation_separation(monkeypatch):
     seeds = range(5)
     grid = {
         (False, False): dict(gpcl_enabled=False, apa_enabled=False, mixup_mode="off"),
@@ -308,17 +306,28 @@ def test_criterion_8_ablation_separation():
     }
     worst = lambda s: min(float(v) for v in s["per_domain_accuracy"].values())
 
+    # every run of the 25 and the 5 FedAvg oracle loops on two worker processes
+    overrides = {**grid, "average": dict(aggregator_mode="average"), "naive": grid[False, False]}
+
+    def job(item):
+        seed, key = item
+        cfg = replace(SKEWED_VARIANT, seed=seed, **overrides[key])
+        return naive_fedavg_loop(cfg) if key == "naive" else run_experiment(cfg)
+
+    monkeypatch.setenv("PROTOFED_THREADS", "2")
+    items = [(seed, key) for seed in seeds for key in overrides]
+    done = dict(zip(items, _map_subruns(job, items)))
+
     rows = []
     rw_avg_wins = rw_worst_wins = grid_wins = 0
     identity_ok = True
     for seed in seeds:
         summaries = {}
-        for key, overrides in grid.items():
-            cfg = replace(SKEWED_VARIANT, seed=seed, **overrides)
-            res = run_experiment(cfg)
+        for key in grid:
+            res = done[seed, key]
             summaries[key] = res.summary
             if key == (False, False):
-                naive = naive_fedavg_loop(cfg)
+                naive = done[seed, "naive"]
                 for fed, ref in zip(res.reports, naive):
                     if (
                         fed.per_domain_accuracy != ref.per_domain_accuracy
@@ -326,9 +335,7 @@ def test_criterion_8_ablation_separation():
                         or fed.losses != ref.losses
                     ):
                         identity_ok = False
-        averaged = run_experiment(
-            replace(SKEWED_VARIANT, seed=seed, aggregator_mode="average")
-        ).summary
+        averaged = done[seed, "average"].summary
         full = summaries[(True, True)]
         rw_avg_wins += full["average_accuracy"] >= averaged["average_accuracy"]
         rw_worst_wins += worst(full) >= worst(averaged)

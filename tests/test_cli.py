@@ -1,10 +1,10 @@
 import csv
 import io
 import json
-import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -483,6 +483,11 @@ def _read_mark(_item) -> str:
     return WORKER_MARK
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _tree(root) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -500,6 +505,7 @@ class TestThreadsEnv:
             monkeypatch.setenv("PROTOFED_THREADS", threads)
             shutil.rmtree(out, ignore_errors=True)
             code = main([command, "--config", str(config), "--out", str(out)])
+            _assert_no_child_left()
             outcomes.append((code, _tree(out)))
         return outcomes
 
@@ -537,7 +543,7 @@ class TestThreadsEnv:
         assert "PROTOFED_THREADS" in capsys.readouterr().err
         # workers are forked, so a platform without fork (Windows) cannot run
         # them; one thread still runs every sub-run in process
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         monkeypatch.setenv("PROTOFED_THREADS", "2")
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -569,3 +575,45 @@ class TestThreadsEnv:
         monkeypatch.setattr(sys.modules[__name__], "WORKER_MARK", "set in the parent")
         monkeypatch.setenv("PROTOFED_THREADS", "2")
         assert _map_subruns(_read_mark, [0, 1]) == ["set in the parent"] * 2
+
+    def test_killed_worker_raises_and_is_reaped(self, tmp_path, monkeypatch):
+        # a worker killed mid-map leaves its rows unsent: the map names it
+        # and its signal, and no worker is left unreaped
+        def worker(item):
+            if item == 1:
+                (tmp_path / "pid").write_text(str(os.getpid()))
+                os.kill(os.getpid(), signal.SIGKILL)
+            return item
+
+        monkeypatch.setenv("PROTOFED_THREADS", "2")
+        with pytest.raises(RuntimeError) as caught:
+            _map_subruns(worker, [0, 1, 2, 3])
+        pid = (tmp_path / "pid").read_text()
+        assert str(caught.value) == (
+            f"sub-run worker {pid} ended by signal {int(signal.SIGKILL)} without all its rows"
+        )
+        _assert_no_child_left()
+        assert _map_subruns(worker, [0, 2, 3]) == [0, 2, 3]  # unpicklable workers are fine
+
+    def test_more_workers_than_cores_keep_input_order(self, monkeypatch):
+        # four workers share one task pipe on any core count: every index is
+        # served exactly once, by some worker, and rows come back in order
+        monkeypatch.setenv("PROTOFED_THREADS", "4")
+        rows = _map_subruns(lambda item: (item, os.getpid()), list(range(500)))
+        assert [item for item, _ in rows] == list(range(500))
+        assert os.getpid() not in {pid for _, pid in rows}
+        _assert_no_child_left()
+
+    def test_pool_modules_not_imported(self, tiny_config, tmp_path):
+        # the workers are bare forks: an ablation at two threads imports
+        # neither multiprocessing nor concurrent.futures
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = ["ablate", "--config", str(tiny_config), "--out", str(tmp_path / "o")]
+        script = (
+            f"import sys\nfrom protofed.cli import main\ncode = main({argv!r})\n"
+            "print(code, sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src, PROTOFED_THREADS="2")
+        argv = [sys.executable, "-c", script]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.stdout == "0 []\n", proc.stderr

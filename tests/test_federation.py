@@ -247,9 +247,9 @@ class TestRunExperiment:
         assert [r.to_json_dict() for r in a.reports] == [r.to_json_dict() for r in b.reports]
 
     def test_threads_do_not_change_results(self, monkeypatch):
-        # sweep/ablate run each sub-run in a worker process of the CLI's pool
+        # sweep/ablate run each sub-run in a worker process forked by the CLI
         # when PROTOFED_THREADS > 1; there it must match the in-process run
-        # bitwise. The pool runs first, so its workers inherit no finished run.
+        # bitwise. The workers run first, so they inherit no finished run.
         from protofed.cli import _map_subruns
 
         monkeypatch.setenv("PROTOFED_THREADS", "2")

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from protofed.losses import LossBreakdown, cross_entropy, gpcl_targets, total_loss
+from protofed.losses import (
+    LossBreakdown, _softmax_xent, cross_entropy, gpcl_targets, total_loss
+)
 from protofed.prototypes import PrototypeSet
 
 from oracles import (
@@ -35,6 +37,40 @@ def random_instance(seed, batch=6, dim=5, k=4, min_norm=1e-2):
     y = rng.integers(0, k, batch)
     protos = proto_set({c: rng.normal(size=dim) for c in range(k)})
     return h, y, protos
+
+
+def softmax_xent_reduce_max(z, target):
+    """_softmax_xent with its row max taken by z.max(axis=-1, keepdims=True)."""
+    picks = target.reshape(-1) + z.shape[-1] * np.arange(target.size)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    grad = np.exp(shifted - lse[..., None])
+    grad.reshape(-1)[picks] -= 1.0
+    return lse - shifted.reshape(-1)[picks].reshape(target.shape), grad
+
+
+class TestSoftmaxXent:
+    def test_fold_max_matches_reduce_max_bitwise(self):
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(4, 6, 5))
+        z[0, 0] = [1.0, 1.0, 0.5, 1.0, -2.0]  # tied maxima
+        z[0, 1] = [0.0, -0.0, -0.0, 0.0, -1.0]  # signed zeros tie at the max
+        z[0, 2] = [-0.0, 0.0, -3.0, -1.0, -0.0]
+        z[0, 3] = -0.0
+        z[1, 0, 3] = np.inf
+        z[1, 1, [0, 4]] = np.inf
+        z[1, 2] = [-np.inf, 0.0, -np.inf, -1.0, -np.inf]
+        z[2, 0, 2] = np.nan
+        z[2, 1, [1, 3]] = [np.nan, np.inf]
+        z[2, 2, 0] = np.nan
+        target = rng.integers(0, 5, (4, 6))
+        target[0, :4] = 0
+        for zz, tt in ((z, target), (z[0], target[0]), (z[:, :, :1], np.zeros((4, 6), int))):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got = _softmax_xent(zz, tt)
+                want = softmax_xent_reduce_max(zz, tt)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestCrossEntropy:

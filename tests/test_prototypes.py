@@ -62,6 +62,28 @@ class TestLocalPrototypes:
             assert np.allclose(out.vectors[k], naive, atol=1e-12)
             assert out.support[k] == len(rows)
 
+    @pytest.mark.parametrize("shape", [(1, 32, 8), (8, 32, 16), (5, 1, 4), (1, 6), (400, 16)])
+    def test_bitwise_class_means(self, shape):
+        # per member and class, bitwise h[y == k].mean(axis=0) and its count:
+        # G = 1, n = 1, a member of one class, absent classes (3 and 4 of K = 5),
+        # the per-round (N, d) shape, and a column of -0.0 (numpy means it to +0.0)
+        rng = np.random.default_rng(shape[-2])
+        h = rng.normal(size=shape)
+        y = rng.integers(0, 3, shape[:-1])
+        if y.ndim == 2:
+            y[0] = 2  # member 0 holds one class
+        h[..., 0] = np.where(y == 1, -0.0, h[..., 0])
+        out = local_prototypes(h, y, 5)
+        hs, ys = (h, y) if h.ndim == 3 else (h[None], y[None])
+        vectors = out.vectors.reshape(len(hs), 5, -1)
+        support = out.support.reshape(len(hs), 5)
+        for g in range(len(hs)):
+            for k in range(5):
+                rows = hs[g][ys[g] == k]
+                assert support[g, k] == len(rows)
+                want = rows.mean(axis=0) if len(rows) else np.zeros(shape[-1])
+                assert vectors[g, k].tobytes() == want.tobytes()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             local_prototypes(np.zeros((0, 3)), [], 2)
