@@ -7,12 +7,15 @@ Runs, with this checkout's protofed CLI:
   sweep    --config configs/sweep_tau.txt --out OUT/sweep   (PROTOFED_THREADS=2)
   gen-data --config configs/default.txt   --out OUT/gen-data/data.csv
   run      --config OUT/multiblock/config.txt --out OUT/multiblock/run
+  run      --config OUT/multiblock/input.txt  --out OUT/multiblock/input
 then prints `sha256  relative/path` for every file they wrote, sorted by path.
-The last run trains on OUT/multiblock/data.csv, the gen-data CSV with every
-third row of domain 1 dropped, so its clients fall into two size blocks
-(synthetic data always gives one). Each output (OUT/run, OUT/ablate,
-OUT/sweep, OUT/gen-data, OUT/multiblock) is removed first; nothing else
-under OUT is touched.
+The last two runs train on OUT/multiblock/data.csv, the gen-data CSV with
+every third row of domain 1 dropped, so its clients fall into two size
+blocks (synthetic data always gives one) of 267 and 400 rows, whose last
+batches hold 11 and 16 rows. The second of them sets mixup_mode = input,
+the only digest run that mixes inputs with a short last batch. Each output
+(OUT/run, OUT/ablate, OUT/sweep, OUT/gen-data, OUT/multiblock) is removed
+first; nothing else under OUT is touched.
 
 Artifacts record their output directory (config.resolved.json), so two
 checkouts compare byte for byte only when both write into the same OUT:
@@ -40,15 +43,18 @@ COMMANDS = [
     ("sweep", "configs/sweep_tau.txt", "sweep", "2"),
     ("gen-data", "configs/default.txt", "gen-data/data.csv", "1"),
     ("run", "multiblock/config.txt", "multiblock/run", "1"),
+    ("run", "multiblock/input.txt", "multiblock/input", "1"),
 ]
 # the multi-block run: domain 1 (clients 3 and 4 of configs/default.txt's
 # allocation) loses every third of its rows
 DROP_DOMAIN, DROP_EVERY = "1", 3
 MULTIBLOCK_CONFIG = "rounds = 5\nepochs = 5\ncsv_path = {csv}\n"
+MULTIBLOCK_INPUT = "mixup_mode = input\n"
 
 
 def write_multiblock_inputs(out: Path) -> None:
-    """OUT/multiblock/data.csv and the config.txt that trains on it."""
+    """OUT/multiblock/data.csv and the config.txt and input.txt that train
+    on it."""
     lines = (out / "gen-data/data.csv").read_text(encoding="utf-8").splitlines(keepends=True)
     kept, seen = lines[:1], 0
     for line in lines[1:]:
@@ -61,6 +67,7 @@ def write_multiblock_inputs(out: Path) -> None:
     (out / "multiblock/data.csv").write_text("".join(kept), encoding="utf-8")
     config = MULTIBLOCK_CONFIG.format(csv=out / "multiblock/data.csv")
     (out / "multiblock/config.txt").write_text(config, encoding="utf-8")
+    (out / "multiblock/input.txt").write_text(config + MULTIBLOCK_INPUT, encoding="utf-8")
 
 
 def main() -> int:
@@ -71,14 +78,15 @@ def main() -> int:
     args = parser.parse_args()
 
     out = args.out.resolve()
-    roots = [out / Path(target).parts[0] for _, _, target, _ in COMMANDS]
+    roots = list(dict.fromkeys(out / Path(target).parts[0] for _, _, target, _ in COMMANDS))
     for root in roots:
         shutil.rmtree(root, ignore_errors=True)
     src = str(REPO / "src")
     pythonpath = os.environ.get("PYTHONPATH")
     for command, config, target, threads in COMMANDS:
         if config.startswith("multiblock/"):
-            write_multiblock_inputs(out)
+            if not (out / "multiblock").exists():
+                write_multiblock_inputs(out)
             config = str(out / config)
         env = dict(
             os.environ,

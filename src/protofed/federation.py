@@ -10,11 +10,12 @@ aborts the round.
 Clients of equal dataset size share a batch schedule, so each such size
 block trains as one (G, P) parameter stack (the leading client axis of
 model.py), its members in client-id order: every local step runs one
-stacked forward, cross-entropy, GPCL, mixup pairing and row mixing,
-per-batch class means, APA, backward and SGD step, the last two written in
-place into parameter and gradient stacks allocated once per block. Only the
-mixup draws are per member, each from its own stream in member order (all
-its gammas, then all its partner ranks; mixup_pairs). With synthetic data
+stacked forward, cross-entropy, GPCL, row mixing, per-batch class means,
+APA, backward and SGD step, the last two written in place into parameter
+and gradient stacks allocated once per block. Mixup pairing runs once per
+epoch, after the members' permutations, for all their steps (mixup_pairs);
+only its draws are per member and step, each from the member's own stream
+in step order (a step's gammas, then its partner ranks). With synthetic data
 every client holds the same number of samples, so there is one block; CSV
 data with unequal domains gives one block per size, and a block of one is
 simply G = 1. Each client's random draws and arithmetic are therefore
@@ -99,19 +100,20 @@ def _apa_targets(
     features: np.ndarray,
     xb: np.ndarray,
     yb: np.ndarray,
-    rngs: list[np.random.Generator],
+    pairs: tuple[np.ndarray, np.ndarray] | None,
     cfg: ExperimentConfig,
 ) -> PrototypeSet:
     """Per-batch augmented prototypes of every client in a stacked block,
-    as one (G, K, d) set, under the configured mixup mode.
+    as one (G, K, d) set, under the configured mixup mode; pairs are the
+    step's (G, B) gammas and partners (None when mixup is off).
 
     off: plain per-batch class means. feature: mix cached features across
     classes. input: mix raw inputs, then one gradient-free stacked forward.
     """
     k = cfg.num_classes
-    if cfg.mixup_mode == "off":
+    if pairs is None:
         return local_prototypes(features, yb, k)
-    gammas, partners = mixup_pairs(yb, rngs, cfg.alpha)
+    gammas, partners = pairs
     if cfg.mixup_mode == "feature":
         return local_prototypes(mix_rows(features, gammas, partners), yb, k)
     mixed_h = forward(params, mix_rows(xb, gammas, partners)).acts[-1]
@@ -145,13 +147,16 @@ def _train_block(
     prototypes (targets, skipped while None); APA against per-batch
     augmented prototypes (class means of plain or mixed rows); the checks;
     backward and SGD. Each epoch every member draws its batch order from its
-    own stream. A failing step ends the block at once. The stacks are
-    allocated once and written in place; global_params is only read.
+    own stream, then, when APA mixes, the epoch's pairs in one call over the
+    full batches (member-major rows, each member's stream once per row) and
+    one for a short last batch. A failing step ends the block at once; the
+    stacks are allocated once and written in place, global_params only read.
     """
     num, n = len(block), len(block[0].data)
     batch_size = min(cfg.batch_size, n)
-    steps = math.ceil(n / batch_size)
+    steps, full = math.ceil(n / batch_size), n // batch_size
     rngs = [c.rng for c in block]
+    step_rngs = [r for r in rngs for _ in range(full)]  # member-major, one per full batch
     params = ModelParams(np.repeat(global_params.flat[None, :], num, axis=0), global_params.shapes)
     grads = ModelParams(np.empty_like(params.flat), params.shapes)
     # the members' (G, n, in) inputs and (G, n) labels, refilled in place
@@ -165,6 +170,14 @@ def _train_block(
             perm = c.rng.permutation(n)
             xs[j] = c.data.x[perm]
             ys[j] = c.data.labels[perm]
+        pairs = [None] * steps
+        if cfg.apa_enabled and cfg.mixup_mode != "off":
+            full_ys = ys[:, : full * batch_size].reshape(num * full, batch_size)
+            gammas, partners = mixup_pairs(full_ys, step_rngs, cfg.alpha)
+            gammas, partners = gammas.reshape(num, full, -1), partners.reshape(num, full, -1)
+            pairs[:full] = [(gammas[:, s], partners[:, s]) for s in range(full)]
+            if full < steps:
+                pairs[full] = mixup_pairs(ys[:, full * batch_size :], rngs, cfg.alpha)
         for step in range(steps):
             batch = slice(step * batch_size, (step + 1) * batch_size)
             xb, yb = xs[:, batch], ys[:, batch]
@@ -177,7 +190,7 @@ def _train_block(
                 gpcl, g = gpcl_loss(h, yb, targets, cfg.tau)
                 d_features = np.add(d_features, g, out=g)
             if cfg.apa_enabled:
-                p_tilde = _apa_targets(params, h, xb, yb, rngs, cfg)
+                p_tilde = _apa_targets(params, h, xb, yb, pairs[step], cfg)
                 apa, g = apa_loss(h, yb, p_tilde)
                 d_features = np.add(d_features, g, out=g)
             # a finite sum means finite terms; only a failing step is searched client by client

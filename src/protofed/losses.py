@@ -89,7 +89,7 @@ def _cosine_matrix(h: np.ndarray, protos: np.ndarray, ng: np.ndarray):
     """Pairwise cosine similarities with the norm floor, for one batch or a
     stack; ng are the prototypes' floored norms. Returns the raw (unclamped)
     matrix plus the feature norms, raw and floored, that the Jacobian needs."""
-    norms = np.linalg.norm(h, axis=-1)
+    norms = np.sqrt(np.add.reduce(h * h, -1))  # np.linalg.norm's own formula, without its checks
     nh = np.maximum(norms, EPS_NORM)
     return (h @ protos.T) / (nh[..., None] * ng), norms, nh
 
@@ -112,10 +112,10 @@ def gpcl_loss(features, labels, targets: GpclTargets, tau: float):
         raise ValueError(f"labels {missing} have no generalized prototype")
     protos, ng = targets.protos, targets.norms
     sims_raw, norms, nh = _cosine_matrix(h, protos, ng)
-    sims = np.clip(sims_raw, -1.0, 1.0)
+    sims = np.minimum(np.maximum(sims_raw, -1.0), 1.0)  # np.clip's bits, cheaper
 
     rows, dsim = _softmax_xent(sims / tau, pos)
-    loss = np.mean(rows, axis=-1)
+    loss = np.add.reduce(rows, -1) / h.shape[-2]  # np.mean's sum and division
     dsim /= h.shape[-2] * tau
     dsim[np.abs(sims_raw) > 1.0] = 0.0  # clamp region: flat
 

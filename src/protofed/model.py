@@ -182,14 +182,15 @@ def backward(
     grads = ModelParams(np.empty_like(params.flat), params.shapes) if out is None else out
     wc, _ = params.classifier
     np.matmul(dz.swapaxes(-1, -2), h, out=grads.classifier[0])
-    np.sum(dz, axis=-2, out=grads.classifier[1])
+    np.add.reduce(dz, -2, out=grads.classifier[1])  # np.sum's own reduction
 
-    g = dz @ wc + dh  # gradient w.r.t. the feature layer output
+    g = dz @ wc  # gradient w.r.t. the feature layer output
+    g += dh
     for i in range(len(params.extractor) - 1, -1, -1):
         a_in = trace.acts[i - 1] if i > 0 else trace.x
         g_w, g_b = grads.extractor[i]
         np.matmul(g.swapaxes(-1, -2), a_in, out=g_w)
-        np.sum(g, axis=-2, out=g_b)
+        np.add.reduce(g, -2, out=g_b)
         if i > 0:
             w_i, _ = params.extractor[i]
             # layer i - 1 is a hidden ReLU layer: max(z, 0) > 0 exactly when z > 0

@@ -45,7 +45,7 @@ def check_batch(
         raise ValueError("expected a stack of batches (G, B, n)")
     if y.shape != a.shape[:-1]:
         raise ValueError("labels must match the batch size")
-    if y.min() < 0 or y.max() >= num_classes:
+    if y.view(np.uint64).max() >= num_classes:  # a negative label reads as >= 2**63
         raise ValueError(f"labels must lie in [0, {num_classes})")
     return a, y
 
@@ -56,4 +56,9 @@ def sample_beta(rng: np.random.Generator, alpha: float, size=None):
     numpy's draws can be exactly 1.0 (about 8% of them at alpha = 0.05)."""
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
-    return np.minimum(np.maximum(rng.beta(alpha, alpha, size), 5e-324), 1.0 - 2**-53)
+    return clamp_open_unit(rng.beta(alpha, alpha, size))
+
+
+def clamp_open_unit(draws):
+    """Beta draws clamped into the open interval (0, 1), elementwise."""
+    return np.minimum(np.maximum(draws, 5e-324), 1.0 - 2**-53)

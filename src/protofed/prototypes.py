@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_batch, sample_beta
+from .numerics import check_batch, clamp_open_unit
 
 # Below this total distance the reweighting denominator carries no signal and
 # weights fall back to uniform.
@@ -86,33 +86,39 @@ def local_prototypes(features, labels, num_classes: int) -> PrototypeSet:
 
 
 def mixup_pairs(labels, rngs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (gamma, partner index) for every sample of a block: (G, n) labels
-    with one Generator per member batch, or one (n,) batch with one Generator.
+    """Draw (gamma, partner index) for every sample of a block: (G, n) labels,
+    a batch per row, with one Generator per row, or one (n,) batch with one
+    Generator. A Generator may recur: a block's update passes an epoch's
+    full batches, each member's in step order with its Generator on each.
 
     The partner is uniform over the rows of the same batch with another
-    label. Only the draws are per member, from its own Generator in member
-    order: all n gammas, ``sample_beta(rng, alpha, n)``, then all n partner
-    ranks, ``rng.integers(pool_sizes)``, a rank counting the batch's rows of
-    other classes in stable label-sorted order. The bookkeeping (class
-    counts, own-class offsets, sort, partner lookup) runs once for the whole
-    block. A batch of one class has no partner: its samples get partner -1
-    and gamma 1.0 and its Generator draws nothing, so each member's draws
-    are a pure function of its labels.
+    label. Only the draws are per row, from its own Generator in row order:
+    all n gammas, ``sample_beta(rng, alpha, n)``, then all n partner ranks,
+    ``rng.integers(pool_sizes)``, a rank counting the batch's rows of other
+    classes in stable label-sorted order. The bookkeeping (class counts,
+    own-class offsets, sort, partner lookup, the gamma clamp) runs once for
+    the whole call. A batch of one class has no partner: its samples get
+    partner -1 and gamma 1.0 and its Generator draws nothing, so each row's
+    draws are a pure function of its labels.
     """
+    if alpha <= 0.0:
+        raise ValueError("alpha must be > 0")
     y = np.asarray(labels, dtype=np.int64)
     ys, rngs = (y, rngs) if y.ndim == 2 else (y[None], [rngs])
     g, n = ys.shape
     k = int(ys.max()) + 1
-    cells = ys + k * np.arange(g)[:, None]  # flat index of each (member, label)
+    cells = ys + k * np.arange(g)[:, None]  # flat index of each (row, label)
     counts = np.bincount(cells.reshape(-1), minlength=g * k).reshape(g, k)
     own = counts.reshape(-1)[cells]
     start = (np.cumsum(counts, axis=1) - counts).reshape(-1)[cells]
     mixes = np.count_nonzero(counts, axis=1) >= 2
+    pools = n - own
     gammas, ranks = np.ones((g, n)), np.zeros((g, n), dtype=np.int64)
     for j in np.flatnonzero(mixes):
-        gammas[j] = sample_beta(rngs[j], alpha, n)
-        ranks[j] = rngs[j].integers(n - own[j])
-    # skip the own class at [start, start + own); a partnerless member reads row 0, gets -1
+        gammas[j] = rngs[j].beta(alpha, alpha, n)  # sample_beta's draw, clamped below
+        ranks[j] = rngs[j].integers(pools[j])
+    gammas[mixes] = clamp_open_unit(gammas[mixes])
+    # skip the own class at [start, start + own); a partnerless row reads row 0, gets -1
     pos = np.where(mixes[:, None], ranks + own * (ranks >= start), 0)
     order = np.argsort(ys, axis=1, kind="stable")
     partners = np.where(mixes[:, None], order.reshape(-1)[pos + n * np.arange(g)[:, None]], -1)
@@ -123,6 +129,11 @@ def mix_rows(rows: np.ndarray, gammas: np.ndarray, partners: np.ndarray) -> np.n
     """Apply mixup pairs to the rows of a batch (B, n), or of a stack of
     batches (G, B, n) with (G, B) pairs; a partner indexes a row of the same
     batch, and partner -1 keeps the row."""
+    b = rows.shape[-2]
+    if partners.min() >= 0:  # the usual case: one flat gather, no mask
+        batch_start = b * np.arange(partners.size // b).reshape(partners.shape[:-1] + (1,))
+        g = gammas[..., None]
+        return g * rows + (1.0 - g) * rows.reshape(-1, rows.shape[-1])[partners + batch_start]
     mixed = rows.copy()
     has = partners >= 0
     g = gammas[has][:, None]

@@ -5,6 +5,7 @@ lines and the ablation-separation table.
 """
 
 import math
+import shutil
 import time
 from dataclasses import replace
 
@@ -398,8 +399,18 @@ def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
                 (out / "model.bin").read_bytes(),
             )
         )
-    ok = outputs[0] == outputs[1] == outputs[2]
-    report(9, "determinism incl. PROTOFED_THREADS>1", ok)
+    # ablate forks its sub-run workers: every file it writes, at 1 and 4
+    # threads, into one directory (config.resolved.json records it)
+    ablations = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("PROTOFED_THREADS", threads)
+        out = tmp_path / "ablate"
+        shutil.rmtree(out, ignore_errors=True)
+        assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        ablations.append({p.relative_to(out).as_posix(): p.read_bytes() for p in files})
+    ok = outputs[0] == outputs[1] == outputs[2] and ablations[0] == ablations[1]
+    report(9, "determinism incl. PROTOFED_THREADS>1", ok, f"ablate: {len(ablations[0])} files")
 
 
 def test_criterion_10_beta_sampler_deciles(beta_draws):

@@ -403,6 +403,30 @@ class TestLockstep:
             alone = local_updates([alone_clients[i]], theta0, generalized, cfg)
             _assert_same_row(together, i, alone, 0)
 
+    @pytest.mark.parametrize("mixup_mode", ["feature", "input"])
+    def test_streams_draw_in_step_order(self, mixup_mode):
+        """The epoch's pairs are drawn at its start, yet each client's stream
+        draws as a step-by-step update would: the epoch's permutation, then
+        each step's gammas and ranks in step order. A replay of that order
+        ends every stream in the same state."""
+        from protofed.prototypes import mixup_pairs
+
+        cfg = replace(LOCKSTEP, mixup_mode=mixup_mode)
+        sizes = (23, 8, 17, 5, 23)  # short last batches of 7 and 1 rows
+        clients, theta0 = _fresh_clients(cfg, sizes)
+        local_updates(clients, theta0, _seed_prototypes(clients, theta0), cfg)
+        for trained, c in zip(clients, _fresh_clients(cfg, sizes)[0]):
+            n = len(c.data)
+            b = min(cfg.batch_size, n)
+            for _ in range(cfg.epochs):
+                labels = c.data.labels[c.rng.permutation(n)]
+                for start in range(0, n, b):
+                    mixup_pairs(labels[start : start + b], c.rng, cfg.alpha)
+            assert c.rng.bit_generator.state["state"]["counter"].tolist() == (
+                trained.rng.bit_generator.state["state"]["counter"].tolist()
+            )
+            assert c.rng.random() == trained.rng.random()
+
     @pytest.mark.parametrize("mixup_mode", ["off", "input"])
     def test_global_params_left_unchanged(self, mixup_mode):
         # ragged sizes: several blocks, one of a single client

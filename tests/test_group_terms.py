@@ -5,8 +5,8 @@ gradient and centroid bits, signed zeros included."""
 import numpy as np
 import pytest
 
-from protofed.losses import _cosine_matrix, apa_loss, gpcl_loss, gpcl_targets
-from protofed.numerics import keyed_rng
+from protofed.losses import _cosine_matrix, _softmax_xent, apa_loss, gpcl_loss, gpcl_targets
+from protofed.numerics import EPS_NORM, keyed_rng
 from protofed.prototypes import PrototypeSet, local_prototypes, mix_rows, mixup_pairs
 
 from oracles import (
@@ -180,6 +180,106 @@ def test_block_mixup_pairs_with_single_class_members():
         else:
             assert np.all(y[g][partners[g]] != y[g])
             assert rng.uniform() == alone.uniform()  # drew as it does alone
+
+
+@pytest.mark.parametrize("groups", [1, 3])
+def test_epoch_mixup_pairs_match_step_calls(groups):
+    """One call over an epoch's full batches, member-major rows with each
+    member's Generator repeated once per step, then one call for the short
+    last batch, equals the per-step block calls bitwise and leaves every
+    Generator in the same state: each stream draws its permutation, then
+    each step's gammas and ranks, in step order."""
+    n, b, k, alpha = 400, 32, 5, 0.4
+    full, steps = n // b, -(-n // b)
+    labels = np.random.default_rng(groups).integers(0, k, (groups, n))
+    epoch_rngs = [keyed_rng(11, g) for g in range(groups)]
+    step_rngs = [keyed_rng(11, g) for g in range(groups)]
+    ys = np.stack([labels[g][r.permutation(n)] for g, r in enumerate(epoch_rngs)])
+    assert all(np.array_equal(ys[g], labels[g][r.permutation(n)]) for g, r in enumerate(step_rngs))
+    ys[-1, 4 * b : 5 * b] = 2  # a single-class batch inside the epoch
+
+    rows = [r for r in epoch_rngs for _ in range(full)]
+    gammas, partners = mixup_pairs(ys[:, : full * b].reshape(groups * full, b), rows, alpha)
+    gammas, partners = gammas.reshape(groups, full, b), partners.reshape(groups, full, b)
+    last = mixup_pairs(ys[:, full * b :], epoch_rngs, alpha)
+    assert last[0].shape == (groups, n - full * b) == (groups, 16)
+    for step in range(steps):
+        want = mixup_pairs(ys[:, step * b : (step + 1) * b], step_rngs, alpha)
+        got = (gammas[:, step], partners[:, step]) if step < full else last
+        assert same(got[0], want[0]) and same(got[1], want[1])
+    assert np.all(partners[-1, 4] == -1) and np.all(gammas[-1, 4] == 1.0)
+    for a, r in zip(epoch_rngs, step_rngs):
+        assert plain(a.bit_generator.state) == plain(r.bit_generator.state)
+
+
+def plain(state):
+    """A bit generator's state with its arrays as lists, to compare with ==."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def mix_rows_masked(rows, gammas, partners):
+    """mix_rows's masked form, the one it keeps for partner -1."""
+    mixed = rows.copy()
+    has = partners >= 0
+    g = gammas[has][:, None]
+    batch = np.nonzero(has)[:-1]
+    mixed[has] = g * rows[has] + (1.0 - g) * rows[batch + (partners[has],)]
+    return mixed
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_mix_rows_gather_matches_masked_path(stacked):
+    """When every row has a partner, mix_rows gathers the partners in one
+    flat lookup; it gives the masked form's bits, also for rows that are a
+    strided slice of a larger stack (a step's inputs) and for gammas at the
+    clamp's edges (alpha = 0.05)."""
+    rng = np.random.default_rng(6)
+    y = rng.integers(0, 4, (3, 32))
+    stack = rng.normal(size=(3, 64, 5))
+    stack[rng.random(stack.shape) < 0.1] = -0.0
+    rows = stack[:, 16:48]
+    gammas, partners = mixup_pairs(y, [keyed_rng(3, g) for g in range(3)], 0.05)
+    assert partners.min() >= 0 and (gammas == 1.0 - 2**-53).any()
+    if not stacked:
+        rows, gammas, partners = rows[1], gammas[1], partners[1]
+    assert same(mix_rows(rows, gammas, partners), mix_rows_masked(rows, gammas, partners))
+
+
+def gpcl_loss_reference(h, y, targets, tau):
+    """gpcl_loss with np.linalg.norm, np.clip and np.mean."""
+    norms = np.linalg.norm(h, axis=-1)
+    nh = np.maximum(norms, EPS_NORM)
+    sims_raw = (h @ targets.protos.T) / (nh[..., None] * targets.norms)
+    sims = np.clip(sims_raw, -1.0, 1.0)
+    rows, dsim = _softmax_xent(sims / tau, targets.row_of[y])
+    loss = np.mean(rows, axis=-1)
+    dsim /= h.shape[-2] * tau
+    dsim[np.abs(sims_raw) > 1.0] = 0.0
+    grad = (dsim / targets.norms) @ targets.protos / nh[..., None]
+    interior = (norms >= EPS_NORM).astype(np.float64)
+    grad -= ((dsim * sims_raw).sum(axis=-1) * interior / nh**2)[..., None] * h
+    return loss, grad
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gpcl_matches_clip_norm_mean_form(seed):
+    """gpcl_loss's np.minimum/np.maximum clamp, add.reduce norms and
+    add.reduce mean give the bits of np.clip, np.linalg.norm and np.mean,
+    on a zero feature row, -0.0 entries and cosines that round past +1 and
+    past -1 (rows parallel and antiparallel to their class prototype)."""
+    h, y, generalized = group_instance(seed, 8, 32, 8, 8)
+    flip = np.random.default_rng(seed).random(y.shape) < 0.3
+    h[flip] = -generalized.vectors[y[flip]] * 3.0
+    h[-1, -1] = 0.0
+    targets = gpcl_targets(generalized)
+    sims, norms, _ = _cosine_matrix(h, targets.protos, targets.norms)
+    assert (sims > 1.0).any() and (sims < -1.0).any() and (norms == 0.0).any()
+    assert (np.signbit(h) & (h == 0.0)).any()
+    loss, grad = gpcl_loss(h, y, targets, 0.07)
+    want_loss, want_grad = gpcl_loss_reference(h, y, targets, 0.07)
+    assert same(loss, want_loss) and same(grad, want_grad)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0])

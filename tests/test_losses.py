@@ -86,6 +86,10 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((1, 3)), [3])
+        # a negative label, in a batch and in a stack of batches
+        for logits, labels in ((np.zeros((2, 3)), [0, -1]), (np.zeros((2, 2, 3)), [[0, 1], [-1, 2]])):
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+                cross_entropy(logits, labels)
 
     def test_grad_finite_differences(self):
         rng = np.random.default_rng(0)

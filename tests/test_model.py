@@ -359,6 +359,30 @@ class TestClientAxis:
         w, _ = params.extractor[0]  # the layer views see the new values
         assert np.shares_memory(w, params.flat)
 
+    # a single model, and a stack of four
+    @pytest.mark.parametrize("num", [None, 4])
+    def test_bias_rows_match_np_sum(self, num):
+        """backward's bias rows are bitwise np.sum(axis=-2) of each layer's
+        output gradient, the feature layer's being dz @ Wc + dh."""
+        rng = np.random.default_rng(13)
+        models = [small_model(seed=s, arch=(6, 16, 8), k=5) for s in range(num or 1)]
+        params = models[0] if num is None else _stack(models)
+        lead = params.flat.shape[:-1]
+        trace = forward(params, rng.normal(size=lead + (33, 6)))
+        dz = rng.normal(size=trace.logits_2d.shape)
+        dh = rng.normal(size=trace.acts[-1].shape)
+        dh[..., 0, :] = -0.0
+        grads = backward(params, trace, dz, dh)
+        got, want = [grads.classifier[1]], [np.sum(dz, axis=-2)]
+        g = dz @ params.classifier[0] + dh
+        for i in range(len(params.extractor) - 1, -1, -1):
+            got.append(grads.extractor[i][1])
+            want.append(np.sum(g, axis=-2))
+            if i > 0:
+                g = (g @ params.extractor[i][0]) * (trace.acts[i - 1] > 0.0)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_out_must_match_parameters(self):
         p = small_model()
         other = zeros_like(_stack([p, p]))
