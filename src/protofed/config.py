@@ -169,18 +169,10 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> Ex
     return build_config(parse_kv_text(Path(path).read_text(encoding="utf-8")), seed, out_dir)
 
 
-def resolved_dict(cfg: ExperimentConfig) -> dict:
-    """JSON-safe view of every resolved field; never contains nulls."""
-    out = {}
-    for name in _FIELDS:
-        value = getattr(cfg, name)
-        out[name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 def write_resolved(cfg: ExperimentConfig, path) -> None:
+    """Every resolved field as JSON (a tuple as a list); never contains nulls."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(resolved_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

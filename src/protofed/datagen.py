@@ -149,16 +149,6 @@ def partition(
     return clients, test_sets
 
 
-class CsvFormatError(ValueError):
-    """Raised on malformed CSV input; carries offending line numbers."""
-
-    def __init__(self, message: str, lines: list[int] | None = None):
-        self.lines = lines or []
-        if self.lines:
-            message = f"{message} (lines {', '.join(map(str, self.lines))})"
-        super().__init__(message)
-
-
 def _header(input_dim: int) -> list[str]:
     return [f"x{i}" for i in range(input_dim)] + ["label", "domain"]
 
@@ -180,19 +170,19 @@ def load_csv(
     path, input_dim: int | None = None, num_classes: int | None = None,
     num_domains: int | None = None,
 ) -> SampleSet:
-    """Parse a samples CSV, rejecting malformed rows with their line numbers.
-    A bound that is None is not checked."""
+    """Parse a samples CSV; a malformed one raises ValueError, naming bad
+    rows by line: ``malformed rows (lines 3, 7)``. A None bound is unchecked."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise CsvFormatError("empty file: header row required") from None
+            raise ValueError("empty file: header row required") from None
         dim = len(header) - 2
         if dim < 1 or header != _header(dim):
-            raise CsvFormatError(f"bad header {header!r}; expected x0..x{{n-1}},label,domain")
+            raise ValueError(f"bad header {header!r}; expected x0..x{{n-1}},label,domain")
         if input_dim is not None and dim != input_dim:
-            raise CsvFormatError(f"header has {dim} feature columns, expected {input_dim}")
+            raise ValueError(f"header has {dim} feature columns, expected {input_dim}")
 
         xs, labels, domains, bad = [], [], [], []
         for line_no, row in enumerate(reader, start=2):
@@ -221,7 +211,7 @@ def load_csv(
             labels.append(label)
             domains.append(domain)
     if bad:
-        raise CsvFormatError("malformed rows", bad)
+        raise ValueError(f"malformed rows (lines {', '.join(map(str, bad))})")
     return SampleSet(  # a header-only file gives (0, dim) features
         np.array(xs, dtype=np.float64).reshape(-1, dim),
         np.array(labels, dtype=np.int64),

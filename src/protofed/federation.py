@@ -110,14 +110,13 @@ def _apa_targets(
     off: plain per-batch class means. feature: mix cached features across
     classes. input: mix raw inputs, then one gradient-free stacked forward.
     """
-    k = cfg.num_classes
     if pairs is None:
-        return local_prototypes(features, yb, k)
-    gammas, partners = pairs
-    if cfg.mixup_mode == "feature":
-        return local_prototypes(mix_rows(features, gammas, partners), yb, k)
-    mixed_h = forward(params, mix_rows(xb, gammas, partners)).acts[-1]
-    return local_prototypes(mixed_h, yb, k)
+        rows = features
+    elif cfg.mixup_mode == "feature":
+        rows = mix_rows(features, *pairs)
+    else:
+        rows = forward(params, mix_rows(xb, *pairs)).acts[-1]
+    return local_prototypes(rows, yb, cfg.num_classes)
 
 
 def _bad_term(ce: float, gpcl: float, apa: float) -> str | None:

@@ -51,14 +51,9 @@ def check_batch(
 
 
 def sample_beta(rng: np.random.Generator, alpha: float, size=None):
-    """Draws from the symmetric Beta(alpha, alpha): one float, or an array
-    of the given size, clamped to the open interval (0, 1). For small alpha
-    numpy's draws can be exactly 1.0 (about 8% of them at alpha = 0.05)."""
+    """Draws from the symmetric Beta(alpha, alpha), as mixup_pairs' gammas:
+    one float, or an array of the given size, clamped to the open interval
+    (0, 1); numpy's can be exactly 1.0 (about 8% of them at alpha = 0.05)."""
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
-    return clamp_open_unit(rng.beta(alpha, alpha, size))
-
-
-def clamp_open_unit(draws):
-    """Beta draws clamped into the open interval (0, 1), elementwise."""
-    return np.minimum(np.maximum(draws, 5e-324), 1.0 - 2**-53)
+    return np.minimum(np.maximum(rng.beta(alpha, alpha, size), 5e-324), 1.0 - 2**-53)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_batch, clamp_open_unit
+from .numerics import check_batch, sample_beta
 
 # Below this total distance the reweighting denominator carries no signal and
 # weights fall back to uniform.
@@ -93,13 +93,13 @@ def mixup_pairs(labels, rngs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
     The partner is uniform over the rows of the same batch with another
     label. Only the draws are per row, from its own Generator in row order:
-    all n gammas, ``sample_beta(rng, alpha, n)``, then all n partner ranks,
-    ``rng.integers(pool_sizes)``, a rank counting the batch's rows of other
-    classes in stable label-sorted order. The bookkeeping (class counts,
-    own-class offsets, sort, partner lookup, the gamma clamp) runs once for
-    the whole call. A batch of one class has no partner: its samples get
-    partner -1 and gamma 1.0 and its Generator draws nothing, so each row's
-    draws are a pure function of its labels.
+    all n gammas from ``sample_beta(rng, alpha, n)``, then all n partner
+    ranks, ``rng.integers(pool_sizes)``, a rank counting the batch's rows of
+    other classes in stable label-sorted order. The bookkeeping (class
+    counts, own-class offsets, sort, partner lookup) runs once for the whole
+    call. A batch of one class has no partner: its samples get partner -1
+    and gamma 1.0 and its Generator draws nothing, so each row's draws are a
+    pure function of its labels.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
@@ -115,9 +115,8 @@ def mixup_pairs(labels, rngs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     pools = n - own
     gammas, ranks = np.ones((g, n)), np.zeros((g, n), dtype=np.int64)
     for j in np.flatnonzero(mixes):
-        gammas[j] = rngs[j].beta(alpha, alpha, n)  # sample_beta's draw, clamped below
+        gammas[j] = sample_beta(rngs[j], alpha, n)
         ranks[j] = rngs[j].integers(pools[j])
-    gammas[mixes] = clamp_open_unit(gammas[mixes])
     # skip the own class at [start, start + own); a partnerless row reads row 0, gets -1
     pos = np.where(mixes[:, None], ranks + own * (ranks >= start), 0)
     order = np.argsort(ys, axis=1, kind="stable")
@@ -127,19 +126,15 @@ def mixup_pairs(labels, rngs, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 def mix_rows(rows: np.ndarray, gammas: np.ndarray, partners: np.ndarray) -> np.ndarray:
     """Apply mixup pairs to the rows of a batch (B, n), or of a stack of
-    batches (G, B, n) with (G, B) pairs; a partner indexes a row of the same
-    batch, and partner -1 keeps the row."""
+    batches (G, B, n) with (G, B) pairs: ``gamma*row + (1-gamma)*partner``,
+    the partner a row of the same batch. Partner -1 (a one-class batch) must
+    come with gamma 1.0, as mixup_pairs gives it: the row mixes with itself,
+    and ``1.0*x + 0.0*x`` keeps the bits of every finite x, -0.0 included."""
     b = rows.shape[-2]
-    if partners.min() >= 0:  # the usual case: one flat gather, no mask
-        batch_start = b * np.arange(partners.size // b).reshape(partners.shape[:-1] + (1,))
-        g = gammas[..., None]
-        return g * rows + (1.0 - g) * rows.reshape(-1, rows.shape[-1])[partners + batch_start]
-    mixed = rows.copy()
-    has = partners >= 0
-    g = gammas[has][:, None]
-    batch = np.nonzero(has)[:-1]  # the batch of each mixed row, when stacked
-    mixed[has] = g * rows[has] + (1.0 - g) * rows[batch + (partners[has],)]
-    return mixed
+    mates = np.where(partners >= 0, partners, np.arange(b))
+    batch_start = b * np.arange(partners.size // b).reshape(partners.shape[:-1] + (1,))
+    g = gammas[..., None]
+    return g * rows + (1.0 - g) * rows.reshape(-1, rows.shape[-1])[mates + batch_start]
 
 
 def _stack_sets(client_sets: list[PrototypeSet]):
@@ -152,8 +147,7 @@ def _stack_sets(client_sets: list[PrototypeSet]):
 
 def average_prototypes(client_sets: list[PrototypeSet]) -> PrototypeSet:
     """Unweighted per-class mean over the clients that possess the class;
-    support counts contributing clients. It is the mean that reweight()
-    measures distances from, and on its own the plain averaging aggregator."""
+    support counts contributing clients. The plain averaging aggregator."""
     vectors, present, support = _stack_sets(client_sets)
     out = np.zeros(vectors.shape[1:])
     for k in np.flatnonzero(support):
@@ -163,21 +157,20 @@ def average_prototypes(client_sets: list[PrototypeSet]) -> PrototypeSet:
 
 def reweight(client_sets: list[PrototypeSet]) -> tuple[PrototypeSet, ReweightReport]:
     """Distance-reweighted combination: per class, clients further from the
-    per-class client mean (average_prototypes of the same sets, taken here)
-    get proportionally more weight; d_m is the squared L2 distance from it.
+    per-class client mean (average_prototypes' rows, order and bits) get
+    proportionally more weight; d_m is the squared L2 distance from it.
 
     Weights are d_m / sum(d_m); when the distances are degenerate (all
     contributing prototypes coincide with the mean, including the
     single-client case) they fall back to uniform and the report flags it.
     """
-    mu = average_prototypes(client_sets)
     vectors, present, support = _stack_sets(client_sets)
     out = np.zeros(vectors.shape[1:])
     report: dict[int, ClassReweight] = {}
     for k in np.flatnonzero(support):
         clients = np.flatnonzero(present[:, k])
         stacked = vectors[clients, k]
-        dists = np.array([np.dot(diff, diff) for diff in stacked - mu.vectors[k]])
+        dists = np.array([np.dot(diff, diff) for diff in stacked - stacked.mean(axis=0)])
         total = float(dists.sum())
         fallback = total < DEGENERATE_DISTANCE
         weights = np.full(len(clients), 1.0 / len(clients)) if fallback else dists / total

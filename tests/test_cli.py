@@ -254,6 +254,18 @@ class TestRunCommand:
         assert "error: domain 1: 4 rows" in capsys.readouterr().err
         assert (out / "rounds.jsonl").read_text() == ""
 
+    def test_malformed_csv_rows_exit_3_naming_lines(self, tiny_config, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(tiny_config), "--out", str(data_path)]) == 0
+        lines = data_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace(",", ",inf,", 1)  # line 3: one cell too many
+        lines[6] = "nan" + lines[6][lines[6].index(","):]  # line 7: a non-finite feature
+        data_path.write_text("".join(lines), encoding="utf-8")
+        config = tmp_path / "csv.txt"
+        config.write_text(TINY_CONFIG + f"csv_path = {data_path}\n", encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.endswith("error: malformed rows (lines 3, 7)\n")
+
 
 class TestSweepCommand:
     def test_tau_sweep_rows(self, tmp_path):

