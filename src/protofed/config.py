@@ -9,7 +9,6 @@ default, so an empty config is a valid experiment.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +53,15 @@ class ExperimentConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
+def _split_list(raw: str) -> list[str]:
+    """The stripped elements of a comma-separated list, none for a blank raw;
+    an empty one (`16,,8`) raises, as dropping it would run another config."""
+    parts = [p.strip() for p in raw.split(",")] if raw.strip() else []
+    if "" in parts:
+        raise ValueError("empty list element")
+    return parts
+
+
 def _parse_value(name: str, raw: str):
     field = _FIELDS[name]
     raw = raw.strip()
@@ -69,8 +77,7 @@ def _parse_value(name: str, raw: str):
                 return low == "true"
             raise ValueError("expected true or false")
         if field.type.startswith("tuple"):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            return tuple(int(p) for p in parts)
+            return tuple(int(p) for p in _split_list(raw))
         return raw
     except ValueError as exc:
         raise ConfigError(f"{name}: cannot parse {raw!r} ({exc})") from None
@@ -169,13 +176,6 @@ def load_config(path, seed: int | None = None, out_dir: str | None = None) -> Ex
     return build_config(parse_kv_text(Path(path).read_text(encoding="utf-8")), seed, out_dir)
 
 
-def write_resolved(cfg: ExperimentConfig, path) -> None:
-    """Every resolved field as JSON (a tuple as a list); never contains nulls."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 SWEEPABLE = ("tau", "alpha", "beta")
 
 
@@ -192,13 +192,13 @@ def load_sweep(
         raise ConfigError("sweep config requires sweep_param and sweep_values")
     if param not in SWEEPABLE:
         raise ConfigError(f"sweep_param must be one of {', '.join(SWEEPABLE)}")
-    parts = [p.strip() for p in values_raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("sweep_values must be a nonempty comma-separated list")
     try:
+        parts = _split_list(values_raw)
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"sweep_values: {exc}") from None
+    if not parts:
+        raise ConfigError("sweep_values must be a nonempty comma-separated list")
     seen: dict[str, str] = {}
     for text_value, value in zip(parts, values):
         name = sweep_dir_name(param, value)

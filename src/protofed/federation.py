@@ -34,7 +34,7 @@ is required to match a minimal independent FedAvg implementation bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,12 +87,9 @@ class RoundReport:
     losses: LossBreakdown  # mean of the clients' mean training losses
 
     def to_json_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "per_domain_accuracy": {str(k): v for k, v in sorted(self.per_domain_accuracy.items())},
-            "average_accuracy": self.average_accuracy,
-            "losses": self.losses.as_dict(),
-        }
+        out = asdict(self)  # losses as a dict too; writers sort the keys
+        out["per_domain_accuracy"] = {str(k): v for k, v in self.per_domain_accuracy.items()}
+        return out
 
 
 def _apa_targets(

@@ -26,9 +26,6 @@ class LossBreakdown:
     apa: float
     total: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {"ce": self.ce, "gpcl": self.gpcl, "apa": self.apa, "total": self.total}
-
 
 def total_loss(ce: float, gpcl: float, apa: float) -> LossBreakdown:
     """Unweighted sum; disabled terms arrive here as exact zeros."""

@@ -168,8 +168,6 @@ def backward(
     """
     dz = np.asarray(dl_dlogits, dtype=np.float64)
     dh = np.asarray(dl_dfeatures, dtype=np.float64)
-    if params.flat.ndim == 1:
-        dz, dh = np.atleast_2d(dz), np.atleast_2d(dh)
     h = trace.acts[-1]
     if dz.shape != trace.logits_2d.shape:
         raise ValueError("dl_dlogits shape does not match trace logits")

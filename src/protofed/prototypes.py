@@ -13,7 +13,6 @@ distance mass, so absent classes are simply skipped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,46 +136,44 @@ def mix_rows(rows: np.ndarray, gammas: np.ndarray, partners: np.ndarray) -> np.n
     return g * rows + (1.0 - g) * rows.reshape(-1, rows.shape[-1])[mates + batch_start]
 
 
-def _stack_sets(client_sets: list[PrototypeSet]):
-    """(M, K, d) vectors, (M, K) presence and (K,) per-class client counts."""
-    if not client_sets:
-        raise ValueError("need at least one client prototype set")
-    present = np.stack([cs.present for cs in client_sets])
-    return np.stack([cs.vectors for cs in client_sets]), present, present.sum(axis=0)
+def _class_means(client_sets: list[PrototypeSet]):
+    """The per-class client mean, one local_prototypes pass over the (R, d)
+    vectors of every present (client, class) pair in client-major order, and
+    those rows with each one's (R,) client position and (R,) class."""
+    owners, classes = np.nonzero(np.stack([cs.present for cs in client_sets]))
+    rows = np.stack([cs.vectors for cs in client_sets])[owners, classes]
+    return local_prototypes(rows, classes, client_sets[0].vectors.shape[0]), rows, owners, classes
 
 
 def average_prototypes(client_sets: list[PrototypeSet]) -> PrototypeSet:
     """Unweighted per-class mean over the clients that possess the class;
-    support counts contributing clients. The plain averaging aggregator."""
-    vectors, present, support = _stack_sets(client_sets)
-    out = np.zeros(vectors.shape[1:])
-    for k in np.flatnonzero(support):
-        out[k] = vectors[present[:, k], k].mean(axis=0)
-    return PrototypeSet(out, support)
+    support counts contributing clients. The plain averaging aggregator. An
+    empty list, or sets holding no class at all, raise ValueError; no run
+    builds either, as each client set comes from at least one sample row."""
+    return _class_means(client_sets)[0]
 
 
 def reweight(client_sets: list[PrototypeSet]) -> tuple[PrototypeSet, ReweightReport]:
     """Distance-reweighted combination: per class, clients further from the
-    per-class client mean (average_prototypes' rows, order and bits) get
-    proportionally more weight; d_m is the squared L2 distance from it.
+    per-class client mean (average_prototypes' bits) get proportionally more
+    weight; d_m is the squared L2 distance from it.
 
     Weights are d_m / sum(d_m); when the distances are degenerate (all
     contributing prototypes coincide with the mean, including the
     single-client case) they fall back to uniform and the report flags it.
     """
-    vectors, present, support = _stack_sets(client_sets)
-    out = np.zeros(vectors.shape[1:])
+    means, rows, owners, classes = _class_means(client_sets)
+    out = np.zeros_like(means.vectors)
     report: dict[int, ClassReweight] = {}
-    for k in np.flatnonzero(support):
-        clients = np.flatnonzero(present[:, k])
-        stacked = vectors[clients, k]
-        dists = np.array([np.dot(diff, diff) for diff in stacked - stacked.mean(axis=0)])
+    for k in np.flatnonzero(means.present):
+        stacked = rows[classes == k]
+        dists = np.array([np.dot(diff, diff) for diff in stacked - means.vectors[k]])
         total = float(dists.sum())
         fallback = total < DEGENERATE_DISTANCE
-        weights = np.full(len(clients), 1.0 / len(clients)) if fallback else dists / total
+        weights = np.full(len(stacked), 1.0 / len(stacked)) if fallback else dists / total
         out[k] = (weights[:, None] * stacked).sum(axis=0)
-        report[int(k)] = ClassReweight(clients.tolist(), dists, weights, fallback)
-    return PrototypeSet(out, support), ReweightReport(report)
+        report[int(k)] = ClassReweight(owners[classes == k].tolist(), dists, weights, fallback)
+    return PrototypeSet(out, means.support), ReweightReport(report)
 
 
 def ema_update(
@@ -194,9 +191,3 @@ def ema_update(
     blended = beta * g_new.vectors + (1.0 - beta) * g_prev.vectors
     vectors = np.where(new, np.where(prev, blended, g_new.vectors), g_prev.vectors)
     return PrototypeSet(vectors, np.where(g_new.present, g_new.support, g_prev.support))
-
-
-def save_prototypes_json(pset: PrototypeSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pset.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

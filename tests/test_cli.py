@@ -165,6 +165,15 @@ class TestRunCommand:
         good.write_text(bad.read_text() + f"csv_path = {rows}\n", encoding="utf-8")
         assert main(["run", "--config", str(good), "--out", str(tmp_path / "o")]) == 0
 
+    def test_empty_arch_element_exits_2(self, tmp_path, capsys):
+        # dropping the empty element would train arch (8, 6), another network
+        bad = tmp_path / "bad.txt"
+        for arch in ("8,,6", "8, 6,"):
+            bad.write_text(TINY_CONFIG.replace("8, 12, 6", arch), encoding="utf-8")
+            assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2, arch
+            assert "config error: arch: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # the last two are removed keys: a config that still sets one must
         # fail, not run without it
@@ -303,6 +312,17 @@ class TestSweepCommand:
         sweep = tmp_path / "sweep.txt"
         sweep.write_text("sweep_param = tau\nsweep_values = \n", encoding="utf-8")
         assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "o")]) == 2
+
+    def test_empty_value_element_exits_2(self, tmp_path, capsys):
+        # dropping the empty element would sweep two values; a blank list
+        # keeps its own message
+        sweep = tmp_path / "sweep.txt"
+        out = tmp_path / "o"
+        for values, message in (("0.02,,0.07", "sweep_values: "), ("", "must be a nonempty")):
+            sweep.write_text(TINY_CONFIG + f"sweep_param = tau\nsweep_values = {values}\n")
+            assert main(["sweep", "--config", str(sweep), "--out", str(out)]) == 2, values
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_param_exit_2(self, tmp_path):
         sweep = tmp_path / "sweep.txt"
@@ -445,6 +465,21 @@ class TestDumpEmbeddings:
         ]) == 0
         back = load_csv(out_path)
         assert np.all(back.x == 0.0)
+
+    def test_header_only_data(self, tmp_path):
+        # forward maps (0, 16) inputs to (0, 6) features: a header-only CSV out
+        data_path = tmp_path / "empty.csv"
+        data_path.write_text(",".join([f"x{i}" for i in range(16)] + ["label", "domain"]) + "\n")
+        from protofed.model import init_params
+
+        save_params(init_params(keyed_rng(0, 9), [16, 32, 6], 4), tmp_path / "model.bin")
+        out_path = tmp_path / "embed.csv"
+        assert main([
+            "dump-embeddings", "--checkpoint", str(tmp_path / "model.bin"),
+            "--data", str(data_path), "--out", str(out_path),
+        ]) == 0
+        header = ",".join([f"x{i}" for i in range(6)] + ["label", "domain"]) + "\n"
+        assert out_path.read_text() == header
 
     def test_dim_mismatch_exits_3(self, tmp_path, capsys):
         data_path = self._write_data(tmp_path)

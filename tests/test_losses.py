@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from protofed.federation import RoundReport
 from protofed.losses import (
     LossBreakdown, _softmax_xent, cross_entropy, gpcl_targets, total_loss
 )
@@ -241,5 +242,6 @@ class TestTotalLoss:
             total_loss(float("nan"), 0.0, 0.0)
 
     def test_as_dict(self):
-        d = total_loss(1.0, 2.0, 3.0).as_dict()
+        report = RoundReport(0, {0: 1.0}, 1.0, total_loss(1.0, 2.0, 3.0))
+        d = report.to_json_dict()["losses"]
         assert d == {"ce": 1.0, "gpcl": 2.0, "apa": 3.0, "total": 6.0}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from protofed.numerics import keyed_rng
 from protofed.prototypes import (
+    DEGENERATE_DISTANCE,
     PrototypeSet,
     average_prototypes,
     ema_update,
@@ -14,8 +15,8 @@ from protofed.prototypes import (
     mix_rows,
     mixup_pairs,
     reweight,
-    save_prototypes_json,
 )
+from protofed.cli import save_prototypes_json
 
 from oracles import DictPrototypeSet, Prototype, naive_mixup_pairs, naive_reweight
 
@@ -349,6 +350,72 @@ class TestEmaUpdate:
     def test_beta_out_of_range(self):
         with pytest.raises(ValueError):
             ema_update(pset({0: [1.0]}), None, 1.5)
+
+
+def per_class_server_means(client_sets):
+    """The server's class means in their per-class form: each class's present
+    client rows, in client order, through numpy's axis-0 mean, and reweight's
+    distances, weights and combination from that mean. Returns the average
+    and reweighted (K, d) vectors and {class: (clients, dists, weights,
+    fallback)}."""
+    vectors = np.stack([cs.vectors for cs in client_sets])
+    present = np.stack([cs.present for cs in client_sets])
+    average, combined, per_class = np.zeros(vectors.shape[1:]), np.zeros(vectors.shape[1:]), {}
+    for k in np.flatnonzero(present.any(axis=0)):
+        clients = np.flatnonzero(present[:, k])
+        stacked = vectors[clients, k]
+        average[k] = stacked.mean(axis=0)
+        dists = np.array([np.dot(diff, diff) for diff in stacked - average[k]])
+        total = float(dists.sum())
+        fallback = total < DEGENERATE_DISTANCE
+        weights = np.full(len(clients), 1.0 / len(clients)) if fallback else dists / total
+        combined[k] = (weights[:, None] * stacked).sum(axis=0)
+        per_class[int(k)] = (clients.tolist(), dists, weights, fallback)
+    return average, combined, per_class
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bit patterns (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestServerMeansBitwise:
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_matches_per_class_reference(self, dim):
+        # classes 0-3 present at random, class 4 held by one client only,
+        # class 5 by none; a fifth of the entries are -0.0
+        rng = np.random.default_rng(23 + dim)
+        for m in range(1, 9):
+            for _ in range(10):
+                present = rng.random((m, 6)) < 0.6
+                present[:, 4:] = False
+                present[rng.integers(m), 4] = True
+                vectors = rng.normal(size=(m, 6, dim))
+                vectors[rng.random(vectors.shape) < 0.2] = -0.0
+                vectors[~present] = 0.0
+                support = np.where(present, rng.integers(1, 9, size=(m, 6)), 0)
+                sets = [PrototypeSet(vectors[i], support[i]) for i in range(m)]
+                average, combined, per_class = per_class_server_means(sets)
+
+                avg = average_prototypes(sets)
+                rw, report = reweight(sets)
+                assert same_bits(avg.vectors, average) and same_bits(rw.vectors, combined)
+                assert np.array_equal(avg.support, present.sum(axis=0))
+                assert np.array_equal(rw.support, present.sum(axis=0))
+                assert sorted(report.per_class) == sorted(per_class)
+                for k, (clients, dists, weights, fallback) in per_class.items():
+                    got = report.per_class[k]
+                    assert got.clients == clients and got.fallback == fallback
+                    assert same_bits(got.distances, dists) and same_bits(got.weights, weights)
+
+    def test_no_class_held_raises(self):
+        # no run builds these inputs: every client set comes from at least one row
+        empty = PrototypeSet(np.zeros((3, 2)), np.zeros(3, dtype=np.int64))
+        for aggregate in (average_prototypes, reweight):
+            for client_sets in ([empty, empty], []):
+                with pytest.raises(ValueError):
+                    aggregate(client_sets)
 
 
 class TestSerialization:

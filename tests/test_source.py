@@ -28,3 +28,19 @@ def test_every_module_level_name_has_a_caller_in_src():
                 used.add(node.name)
     unused = [f"{module}: {name}" for module, name in defined if name not in used]
     assert not unused, f"no caller in src: {', '.join(unused)}"
+
+
+def test_only_cli_imports_json():
+    """cli writes every JSON artifact, so no other module imports json."""
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.add(path.name)
+    assert importers == {"cli.py"}
