@@ -5,6 +5,7 @@ Runs, with this checkout's protofed CLI:
   run      --config configs/default.txt   --out OUT/run
   ablate   --config configs/skewed.txt    --out OUT/ablate  (PROTOFED_THREADS=2)
   sweep    --config configs/sweep_tau.txt --out OUT/sweep   (PROTOFED_THREADS=2)
+  sweep    --config configs/sweep_beta.txt --out OUT/sweep_beta  (PROTOFED_THREADS=2)
   gen-data --config configs/default.txt   --out OUT/gen-data/data.csv
   run      --config OUT/multiblock/config.txt --out OUT/multiblock/run
   run      --config OUT/multiblock/input.txt  --out OUT/multiblock/input
@@ -13,9 +14,11 @@ The last two runs train on OUT/multiblock/data.csv, the gen-data CSV with
 every third row of domain 1 dropped, so its clients fall into two size
 blocks (synthetic data always gives one) of 267 and 400 rows, whose last
 batches hold 11 and 16 rows. The second of them sets mixup_mode = input,
-the only digest run that mixes inputs with a short last batch. Each output
-(OUT/run, OUT/ablate, OUT/sweep, OUT/gen-data, OUT/multiblock) is removed
-first; nothing else under OUT is touched.
+the only digest run that mixes inputs with a short last batch. The beta
+sweep's four values, the limits 0 and 1.0 among them, differ only on the
+server, so its runs train as one bundle and share every draw. Each output
+(OUT/run, OUT/ablate, OUT/sweep, OUT/sweep_beta, OUT/gen-data,
+OUT/multiblock) is removed first; nothing else under OUT is touched.
 
 Artifacts record their output directory (config.resolved.json), so two
 checkouts compare byte for byte only when both write into the same OUT:
@@ -41,6 +44,7 @@ COMMANDS = [
     ("run", "configs/default.txt", "run", "1"),
     ("ablate", "configs/skewed.txt", "ablate", "2"),
     ("sweep", "configs/sweep_tau.txt", "sweep", "2"),
+    ("sweep", "configs/sweep_beta.txt", "sweep_beta", "2"),
     ("gen-data", "configs/default.txt", "gen-data/data.csv", "1"),
     ("run", "multiblock/config.txt", "multiblock/run", "1"),
     ("run", "multiblock/input.txt", "multiblock/input", "1"),

@@ -3,21 +3,24 @@
 Every JSON artifact is written here; each artifact is a deterministic
 function of (config, seed): no timestamps, sorted keys, fixed float
 formatting. Exit codes: 0 success, 2 configuration error, 3 runtime error.
-PROTOFED_THREADS sets how many worker processes run the independent sub-runs
-of a sweep or an ablation (default 1: one after another in this process); it
-never changes results. The workers are bare os.fork children of this
-process, so a value above 1 needs a platform with fork. Sweep and ablate
-share one sub-run worker, which trains a config that several sub-runs share
-once and copies its artifacts, and which never raises: a failed sweep value
-becomes an error row, and a failed ablation exits 3 only once every distinct
-config has run, so the output tree is the same at any thread count.
+PROTOFED_THREADS sets how many worker processes run the sub-runs of a sweep
+or an ablation (default 1: all in this process); it never changes results.
+The workers are bare os.fork children of this process, so a value above 1
+needs a platform with fork. Sweep and ablate share one sub-run worker, which
+trains a bundle of configs in lockstep (federation.run_experiments), trains
+a config that several sub-runs share once and copies its artifacts, and
+never raises: a failed sweep value becomes an error row, and a failed
+ablation exits 3 only once every distinct config has run, so the output
+tree is the same at any thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import os
 import pickle
@@ -30,13 +33,14 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
+    bundle_key,
     load_config,
     load_sweep,
     sweep_dir_name,
     validate_config,
 )
 from .datagen import SampleSet, load_csv, save_csv
-from .federation import ExperimentResult, run_experiment, synthetic_domains
+from .federation import ExperimentResult, run_experiments, synthetic_domains
 from .model import forward, load_params, save_params
 from .numerics import STREAM_DATA, keyed_rng
 from .prototypes import PrototypeSet
@@ -133,28 +137,48 @@ def _map_subruns(worker, items: list) -> list:
     return [rows[index] for index in range(len(items))]
 
 
-def execute_run(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment and write rounds.jsonl, summary.json,
-    config.resolved.json, model.bin and prototypes.json into cfg.out_dir."""
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_resolved(cfg)
-    with open(out_dir / "rounds.jsonl", "w", encoding="utf-8") as rounds_fh:
+def _write_round(fh, report) -> None:
+    fh.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+    fh.flush()
 
-        def stream(report):
-            rounds_fh.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-            rounds_fh.flush()
 
-        result = run_experiment(cfg, round_callback=stream)
-    _write_json(result.summary, out_dir / "summary.json")
-    save_params(result.final_params, out_dir / "model.bin")
-    save_prototypes_json(result.final_generalized, out_dir / "prototypes.json")
-    return result
+def execute_run(cfgs: list[ExperimentConfig]) -> list[ExperimentResult | Exception]:
+    """Run one bundle of experiments (federation.run_experiments) and write
+    rounds.jsonl, summary.json, config.resolved.json, model.bin and
+    prototypes.json into each one's out_dir. Returns, per config, its result
+    or the exception that ended it, in training or in a write; a failed
+    run's rounds.jsonl keeps the rounds before the failure."""
+    results: list = [None] * len(cfgs)
+    with contextlib.ExitStack() as files:
+        callbacks = {}  # position in cfgs -> its rounds.jsonl writer
+        for i, cfg in enumerate(cfgs):
+            try:
+                Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+                write_resolved(cfg)
+                fh = files.enter_context(open(Path(cfg.out_dir) / "rounds.jsonl", "w",
+                                              encoding="utf-8"))
+                callbacks[i] = functools.partial(_write_round, fh)
+            except Exception as exc:  # noqa: BLE001 - ends this run only
+                results[i] = exc
+        trained = run_experiments([cfgs[i] for i in callbacks], list(callbacks.values()))
+    for i, result in zip(callbacks, trained):
+        results[i] = result
+        out_dir = Path(cfgs[i].out_dir)
+        try:
+            if not isinstance(result, Exception):
+                _write_json(result.summary, out_dir / "summary.json")
+                save_params(result.final_params, out_dir / "model.bin")
+                save_prototypes_json(result.final_generalized, out_dir / "prototypes.json")
+        except Exception as exc:  # noqa: BLE001 - ends this run only
+            results[i] = exc
+    return results
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
-    execute_run(cfg)
+    [result] = execute_run([cfg])
+    if isinstance(result, Exception):
+        raise result
     return 0
 
 
@@ -168,41 +192,62 @@ def _summary_row(summary: dict, num_domains: int) -> list[str]:
     return [_fmt(summary["average_accuracy"])] + cells
 
 
-def _train(item) -> dict | str:
-    """Validate and train one config into the first of its directories, and
-    return its summary, or the error message if it fails; never raises, so
-    every sub-run runs at any PROTOFED_THREADS. Each other directory gets its
-    own config.resolved.json and byte copies of the rest."""
-    cfg, dirs = item
-    try:
-        validate_config(cfg)
-        summary = execute_run(dataclasses.replace(cfg, out_dir=str(dirs[0]))).summary
-        for sub_dir in dirs[1:]:
-            sub_dir.mkdir(parents=True, exist_ok=True)
-            write_resolved(dataclasses.replace(cfg, out_dir=str(sub_dir)))
-            for name in ("rounds.jsonl", "summary.json", "model.bin", "prototypes.json"):
-                shutil.copyfile(dirs[0] / name, sub_dir / name)
-    except Exception as exc:  # the command decides what a failed sub-run means
-        return str(exc)
-    return summary
+def _train(bundle: list[tuple[ExperimentConfig, list[Path]]]) -> list[dict | str]:
+    """Train one bundle of distinct valid configs, each into the first of its
+    directories, and return each one's summary, or the error message it
+    fails with; never raises, so every sub-run runs at any PROTOFED_THREADS.
+    Each other directory gets its own config.resolved.json and byte copies
+    of the rest."""
+    results = execute_run([dataclasses.replace(cfg, out_dir=str(dirs[0])) for cfg, dirs in bundle])
+    rows: list[dict | str] = []
+    for (cfg, dirs), result in zip(bundle, results):
+        try:
+            if isinstance(result, Exception):
+                raise result
+            for sub_dir in dirs[1:]:
+                sub_dir.mkdir(parents=True, exist_ok=True)
+                write_resolved(dataclasses.replace(cfg, out_dir=str(sub_dir)))
+                for name in ("rounds.jsonl", "summary.json", "model.bin", "prototypes.json"):
+                    shutil.copyfile(dirs[0] / name, sub_dir / name)
+            rows.append(result.summary)
+        except Exception as exc:  # the command decides what a failed sub-run means
+            rows.append(str(exc))
+    return rows
 
 
 def _cost_rank(cfg: ExperimentConfig) -> tuple:
-    """Measured cost order: APA with input, feature, then no mixup; GPCL adds."""
+    """Measured cost order: APA with input, feature, then no mixup; GPCL
+    adds. A bundle ranks as its dearest config."""
     mixup = {"feature": 1, "input": 2}.get(cfg.mixup_mode, 0) if cfg.apa_enabled else 0
     return (cfg.apa_enabled, mixup, cfg.gpcl_enabled)
 
 
 def _train_all(configs: list[ExperimentConfig], dirs: list[Path]) -> list[dict | str]:
-    """_train's result for each config, in input order. Configs with the same
-    repr (unlike ==, it keeps 0.0 and -0.0 apart, as config.resolved.json
-    does) are trained once and copied to the others' directories, dearest
-    first (ties in input order), so no worker idles at the end."""
+    """_train's result, or the validation error, for each config, in input
+    order. Configs with the same repr (unlike ==, it keeps 0.0 and -0.0
+    apart, as config.resolved.json does) train once, copied to the others'
+    directories. The valid ones train in bundles (config.bundle_key) of at
+    most ceil(distinct configs / PROTOFED_THREADS), so one config's seeds
+    still fill every worker, dearest bundle first (ties in input order), so
+    no worker idles at the end while another trains."""
     groups: dict[str, tuple[ExperimentConfig, list[Path]]] = {}
     for cfg, sub_dir in zip(configs, dirs):
         groups.setdefault(repr(cfg), (cfg, []))[1].append(sub_dir)
-    order = sorted(groups, key=lambda key: _cost_rank(groups[key][0]), reverse=True)
-    results = dict(zip(order, _map_subruns(_train, [groups[key] for key in order])))
+    results: dict[str, dict | str] = {}
+    keyed: dict[str, list[str]] = {}  # bundle key -> its configs' reprs
+    for key, (cfg, _) in groups.items():
+        try:
+            validate_config(cfg)
+        except ConfigError as exc:
+            results[key] = str(exc)
+        else:
+            keyed.setdefault(bundle_key(cfg), []).append(key)
+    cap = -(-len(groups) // _threads())
+    bundles = [keys[i : i + cap] for keys in keyed.values() for i in range(0, len(keys), cap)]
+    bundles.sort(key=lambda keys: max(_cost_rank(groups[key][0]) for key in keys), reverse=True)
+    rows = _map_subruns(_train, [[groups[key] for key in keys] for keys in bundles])
+    for keys, bundle_rows in zip(bundles, rows):
+        results.update(zip(keys, bundle_rows))
     return [results[repr(cfg)] for cfg in configs]
 
 

@@ -213,3 +213,17 @@ def load_sweep(
 def sweep_dir_name(param: str, value: float) -> str:
     """Name of the sub-run directory a sweep writes for one value."""
     return f"{param}_{value:g}"
+
+
+# The fields a bundle's runs may differ in: the seed picks data and streams,
+# only GPCL reads gpcl_enabled and tau, only the server aggregator_mode and
+# beta, and out_dir is the command's. Every other field keys the bundle, a
+# new field included.
+PER_RUN_FIELDS = ("seed", "gpcl_enabled", "tau", "aggregator_mode", "beta", "out_dir")
+
+
+def bundle_key(cfg: ExperimentConfig) -> str:
+    """Configs with equal keys train as one bundle
+    (federation.run_experiments). The repr keeps 0.0 and -0.0 apart, as the
+    arithmetic does."""
+    return repr([getattr(cfg, name) for name in _FIELDS if name not in PER_RUN_FIELDS])

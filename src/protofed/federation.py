@@ -1,31 +1,20 @@
 """The federated round loop: broadcast, local updates, aggregation, evaluation.
 
-One round broadcasts the global model and the current generalized prototypes,
-trains every client on it (each client owns its RNG stream), then
-aggregates parameters by dataset-size weighting and rebuilds the generalized
-prototypes. Client results are always reduced in client-id order, so round
-output does not depend on the order of the client list. Any client failure
-aborts the round.
+The loop runs a bundle: experiments whose configs differ only in
+config.PER_RUN_FIELDS; one experiment is the bundle of one. Runs of one seed
+share one build_problem, their clients' RNG streams included. Each round
+trains every run's clients from its broadcast global model and generalized
+prototypes; then, per run and in client-id order, the server aggregates the
+parameters by dataset size, rebuilds the prototypes and evaluates.
 
-Clients of equal dataset size share a batch schedule, so each such size
-block trains as one (G, P) parameter stack (the leading client axis of
-model.py), its members in client-id order: every local step runs one
-stacked forward, cross-entropy, GPCL, row mixing, per-batch class means,
-APA, backward and SGD step, the last two written in place into parameter
-and gradient stacks allocated once per block. Mixup pairing runs once per
-epoch, after the members' permutations, for all their steps (mixup_pairs);
-only its draws are per member and step, each from the member's own stream
-in step order (a step's gammas, then its partner ranks). With synthetic data
-every client holds the same number of samples, so there is one block; CSV
-data with unequal domains gives one block per size, and a block of one is
-simply G = 1. Each client's random draws and arithmetic are therefore
-exactly those of training it alone.
-
-A round's uploads take one form: every block's (G, P) stack is written into
-one (M, P) parameter stack and its (3, G) loss means into one (3, M) array,
-rows in client-id order, beside the M clients' local prototype sets. The
-server averages the stack's rows (aggregate_params) and the loss rows in
-row order, as Python sums them.
+Clients of equal dataset size share a batch schedule, so each size block,
+over all runs, trains as one (G, P) stack (the leading client axis of
+model.py) ordered (run, client id). Each step runs forward, CE, mixup, APA,
+backward and SGD once over the stack, and GPCL once per run over its rows.
+Each distinct stream draws once per epoch (its batch order, then mixup
+pairs in step order) and its other members replay the draws. Each run's
+draws and arithmetic are therefore exactly those of training it alone, and
+a failure ends only its own run, with the exception it raises alone.
 
 With GPCL, APA and mixup all disabled the loop degrades to plain FedAvg and
 is required to match a minimal independent FedAvg implementation bitwise.
@@ -38,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import PER_RUN_FIELDS, ExperimentConfig, bundle_key
 from .datagen import SampleSet, load_csv, make_domains, partition, split_by_domain
 from .losses import (
     GpclTargets, LossBreakdown, apa_loss, cross_entropy, gpcl_loss, gpcl_targets, total_loss
@@ -77,6 +66,17 @@ class ServerState:
     round: int
     global_params: ModelParams
     generalized: PrototypeSet | None
+
+
+@dataclass
+class Run:
+    """One experiment of a bundle as the round loop holds it. Its clients
+    (and their streams) are shared with the bundle's other runs of its seed."""
+
+    cfg: ExperimentConfig
+    clients: list[ClientState]
+    test_sets: dict[int, SampleSet]
+    server: ServerState
 
 
 @dataclass
@@ -127,53 +127,70 @@ def _bad_term(ce: float, gpcl: float, apa: float) -> str | None:
     return None
 
 
-def _train_block(
-    block: list[ClientState],
-    global_params: ModelParams,
-    targets: GpclTargets | None,
-    cfg: ExperimentConfig,
-) -> tuple[tuple | None, ModelParams | None, np.ndarray | None]:
-    """The whole local update of one block of equal-size clients, listed in
-    client-id order, as one (G, P) stack. Returns the block's first failure
-    as (epoch, step within the epoch, client id, message) and two Nones, or
-    None, the (G, P) parameters and the (3, G) mean CE, GPCL and APA of each
-    member.
+def _gpcl_terms(h, yb, contrasted) -> tuple[np.ndarray, np.ndarray]:
+    """GPCL's (G,) losses and (G, B, d) feature gradients over a stacked
+    step: for each (rows, targets, tau) run, the call it makes alone, over
+    its rows; zeros in the rows of runs without targets. A run that is the
+    whole block is one call on the whole stack."""
+    if len(contrasted) == 1 and contrasted[0][0] == slice(0, len(h)):
+        return gpcl_loss(h, yb, *contrasted[0][1:])
+    gpcl, g = np.zeros(len(h)), np.zeros_like(h)
+    for rows, targets, tau in contrasted:
+        gpcl[rows], g[rows] = gpcl_loss(h[rows], yb[rows], targets, tau)
+    return gpcl, g
 
-    Per step the stack runs forward and CE; GPCL against the generalized
-    prototypes (targets, skipped while None); APA against per-batch
-    augmented prototypes (class means of plain or mixed rows); the checks;
-    backward and SGD. Each epoch every member draws its batch order from its
-    own stream, then, when APA mixes, the epoch's pairs in one call over the
-    full batches (member-major rows, each member's stream once per row) and
-    one for a short last batch. A failing step ends the block at once; the
-    stacks are allocated once and written in place, global_params only read.
+
+def _train_block(
+    runs: list[Run], block: list[tuple[int, ClientState]], targets: list[GpclTargets | None]
+) -> tuple[dict[int, tuple], ModelParams, np.ndarray]:
+    """The whole local update of one size block, listed as (run, client) in
+    (run, client id) order, as one (G, P) stack written in place. Returns
+    each failed run's first failure, {run: (epoch, step, client id,
+    message)}, the (G, P) parameters and the (3, G) mean CE, GPCL and APA
+    (a failed run's rows are garbage). Each epoch the first member on each
+    stream draws its batch order and, when APA mixes, the epoch's pairs in
+    one call over the full batches and one for a short last batch. A failing
+    step ends its run; the block ends once every run has failed.
     """
-    num, n = len(block), len(block[0].data)
+    cfg = runs[0].cfg  # every setting the stack reads is the bundle's
+    owner, clients = [r for r, _ in block], [c for _, c in block]
+    num, n = len(block), len(clients[0].data)
     batch_size = min(cfg.batch_size, n)
     steps, full = math.ceil(n / batch_size), n // batch_size
-    rngs = [c.rng for c in block]
-    step_rngs = [r for r in rngs for _ in range(full)]  # member-major, one per full batch
-    params = ModelParams(np.repeat(global_params.flat[None, :], num, axis=0), global_params.shapes)
-    grads = ModelParams(np.empty_like(params.flat), params.shapes)
+    first: dict[int, int] = {}  # stream (a client object) -> its index among the streams
+    stream = np.array([first.setdefault(id(c), len(first)) for c in clients])
+    drawers = np.unique(stream, return_index=True)[1]  # each stream's first member
+    rngs = [clients[j].rng for j in drawers]
+    step_rngs = [r for r in rngs for _ in range(full)]  # stream-major, one per full batch
+    spans = {r: slice(owner.index(r), num - owner[::-1].index(r)) for r in dict.fromkeys(owner)}
+    contrasted = [(rows, targets[r], runs[r].cfg.tau) for r, rows in spans.items()
+                  if targets[r] is not None]
+    shapes = runs[0].server.global_params.shapes
+    params = ModelParams(np.stack([runs[r].server.global_params.flat for r in owner]), shapes)
+    grads = ModelParams(np.empty_like(params.flat), shapes)
     # the members' (G, n, in) inputs and (G, n) labels, refilled in place
     # each epoch in that epoch's batch order
-    xs = np.empty((num, n) + block[0].data.x.shape[1:])
+    xs = np.empty((num, n) + clients[0].data.x.shape[1:])
     ys = np.empty((num, n), dtype=np.int64)
     zero_features = np.zeros((num, batch_size, params.feature_dim))  # read-only
+    failures: dict[int, tuple] = {}
     sums = np.zeros((3, num))
     for epoch in range(cfg.epochs):
-        for j, c in enumerate(block):
-            perm = c.rng.permutation(n)
-            xs[j] = c.data.x[perm]
-            ys[j] = c.data.labels[perm]
+        for j in drawers:
+            perm = clients[j].rng.permutation(n)
+            xs[j], ys[j] = clients[j].data.x[perm], clients[j].data.labels[perm]
+        if len(drawers) < num:
+            xs[:], ys[:] = xs[drawers[stream]], ys[drawers[stream]]
         pairs = [None] * steps
         if cfg.apa_enabled and cfg.mixup_mode != "off":
-            full_ys = ys[:, : full * batch_size].reshape(num * full, batch_size)
-            gammas, partners = mixup_pairs(full_ys, step_rngs, cfg.alpha)
-            gammas, partners = gammas.reshape(num, full, -1), partners.reshape(num, full, -1)
+            drawn = ys[drawers]
+            full_ys = drawn[:, : full * batch_size].reshape(len(drawers) * full, batch_size)
+            gammas, partners = (a.reshape(len(drawers), full, -1)[stream]
+                                for a in mixup_pairs(full_ys, step_rngs, cfg.alpha))
             pairs[:full] = [(gammas[:, s], partners[:, s]) for s in range(full)]
             if full < steps:
-                pairs[full] = mixup_pairs(ys[:, full * batch_size :], rngs, cfg.alpha)
+                last = mixup_pairs(drawn[:, full * batch_size :], rngs, cfg.alpha)
+                pairs[full] = tuple(a[stream] for a in last)
         for step in range(steps):
             batch = slice(step * batch_size, (step + 1) * batch_size)
             xb, yb = xs[:, batch], ys[:, batch]
@@ -182,8 +199,8 @@ def _train_block(
             ce, d_logits = cross_entropy(trace.logits_2d, yb)
             d_features = zero_features[:, : h.shape[1]]
             gpcl = apa = np.zeros(num)
-            if targets is not None:
-                gpcl, g = gpcl_loss(h, yb, targets, cfg.tau)
+            if contrasted:
+                gpcl, g = _gpcl_terms(h, yb, contrasted)
                 d_features = np.add(d_features, g, out=g)
             if cfg.apa_enabled:
                 p_tilde = _apa_targets(params, h, xb, yb, pairs[step], cfg)
@@ -191,64 +208,69 @@ def _train_block(
                 d_features = np.add(d_features, g, out=g)
             # a finite sum means finite terms; only a failing step is searched client by client
             if not (np.isfinite(ce + gpcl + apa).all() and ce.max() <= MAX_STEP_CE):
-                for j, c in enumerate(block):  # the lowest failing client id first
-                    why = _bad_term(float(ce[j]), float(gpcl[j]), float(apa[j]))
+                for j, (r, c) in enumerate(block):  # a run's lowest failing client id first
+                    why = None if r in failures else _bad_term(float(ce[j]), float(gpcl[j]),
+                                                               float(apa[j]))
                     if why is not None:
                         where = f"client {c.client_id}, local step {epoch * steps + step}"
-                        return (epoch, step, c.client_id, f"{where}: {why}"), None, None
+                        failures[r] = (epoch, step, c.client_id, f"{where}: {why}")
+                if len(failures) == len(spans):
+                    return failures, params, sums
             backward(params, trace, d_logits, d_features, out=grads)
             sgd_step(params, grads, cfg.lr, cfg.weight_decay, out=params)
             sums += (ce, gpcl, apa)
-    return None, params, sums / (cfg.epochs * steps)
+    return failures, params, sums / (cfg.epochs * steps)
 
 
 def local_updates(
-    clients: list[ClientState],
-    global_params: ModelParams,
-    generalized: PrototypeSet | None,
-    cfg: ExperimentConfig,
-) -> tuple[ModelParams, list[PrototypeSet], np.ndarray]:
-    """Train the received global model on every client's data, one size
-    block at a time (see the module docstring), then compute each client's
-    local prototypes over its full dataset with its final model, one client
-    at a time. Returns, in client-id order, the (M, P) trained parameters,
-    the M local prototype sets and the (3, M) mean CE, GPCL and APA of each
-    client over its batch steps.
-
-    Each client's batch size is clamped to its dataset. A non-finite loss
-    term, or a CE above MAX_STEP_CE, raises FloatingPointError naming the
-    client, its local step (counted from 0 across epochs) and the term: at
-    the first failing step, for the lowest failing client id, over all
-    blocks (the other blocks finish their update first).
+    runs: list[Run],
+) -> list[tuple[ModelParams, list[PrototypeSet], np.ndarray] | FloatingPointError]:
+    """Train each run's global model on its clients, one size block over all
+    runs at a time, then compute each client's local prototypes over its
+    full dataset. Returns per run, in client-id order, the (M, P) trained
+    parameters, the M prototype sets and the (3, M) mean CE, GPCL and APA;
+    or a FloatingPointError naming the client, local step (counted across
+    epochs) and term of the run's first failing step (a non-finite term or
+    a CE above MAX_STEP_CE), lowest failing client id first.
     """
-    ordered = sorted(clients, key=lambda c: c.client_id)
-    blocks: dict[int, list[int]] = {}  # dataset size -> positions in ordered
-    for i, c in enumerate(ordered):
-        if len(c.data) == 0:
-            raise ValueError(f"client {c.client_id} has no data")
-        blocks.setdefault(len(c.data), []).append(i)
+    ordered = [sorted(run.clients, key=lambda c: c.client_id) for run in runs]
+    blocks: dict[int, list[tuple[int, int]]] = {}  # dataset size -> (run, client position)
+    for r, clients in enumerate(ordered):
+        for i, c in enumerate(clients):
+            if len(c.data) == 0:
+                raise ValueError(f"client {c.client_id} has no data")
+            blocks.setdefault(len(c.data), []).append((r, i))
     # GPCL's prototype matrix and norms are constants for the whole update
-    targets = gpcl_targets(generalized) if cfg.gpcl_enabled and generalized is not None else None
-    params = ModelParams(np.empty((len(ordered), global_params.flat.size)), global_params.shapes)
-    means = np.empty((3, len(ordered)))
-    failures = []
-    for rows in blocks.values():
-        block = [ordered[i] for i in rows]
-        failure, block_params, block_means = _train_block(block, global_params, targets, cfg)
-        if failure is not None:
-            failures.append(failure)
-            continue
-        params.flat[rows], means[:, rows] = block_params.flat, block_means
-    if failures:
-        raise FloatingPointError(min(failures)[-1])
+    targets = [
+        gpcl_targets(run.server.generalized)
+        if run.cfg.gpcl_enabled and run.server.generalized is not None else None
+        for run in runs
+    ]
+    shapes = runs[0].server.global_params.shapes
+    params = [np.empty((len(c), runs[0].server.global_params.flat.size)) for c in ordered]
+    means = [np.empty((3, len(c))) for c in ordered]
+    failures: list[list[tuple]] = [[] for _ in runs]
+    for members in blocks.values():
+        block = [(r, ordered[r][i]) for r, i in members]
+        failed, block_params, block_means = _train_block(runs, block, targets)
+        for j, (r, i) in enumerate(members):
+            params[r][i], means[r][:, i] = block_params.flat[j], block_means[:, j]
+        for r, failure in failed.items():
+            failures[r].append(failure)
 
-    # one client at a time: stacking every client's full dataset would hold
-    # M times the activations for a forward that runs once a round
-    protos = []
-    for row, c in zip(params.flat, ordered):
-        h = forward(ModelParams(row, params.shapes), c.data.x).acts[-1]
-        protos.append(local_prototypes(h, c.data.labels, cfg.num_classes))
-    return params, protos, means
+    results = []
+    for run, clients, flat, run_means, failed in zip(runs, ordered, params, means, failures):
+        if failed:
+            results.append(FloatingPointError(min(failed)[-1]))
+            continue
+        # one client at a time: stacking every client's full dataset would
+        # hold M times the activations for a forward that runs once a round
+        protos = []
+        for row, c in zip(flat, clients):
+            h = forward(ModelParams(row, shapes), c.data.x).acts[-1]
+            protos.append(local_prototypes(h, c.data.labels, run.cfg.num_classes))
+        results.append((ModelParams(flat, shapes), protos, run_means))
+    return results
 
 
 def aggregate_params(client_params: ModelParams, sample_counts: list[int]) -> ModelParams:
@@ -282,26 +304,33 @@ def evaluate(params: ModelParams, test_sets: dict[int, SampleSet]) -> dict[int, 
     return per_domain
 
 
-def run_round(
-    server: ServerState,
-    clients: list[ClientState],
-    test_sets: dict[int, SampleSet],
-    cfg: ExperimentConfig,
-) -> tuple[ServerState, RoundReport]:
-    """One synchronous communication round. A non-finite loss, or a CE above
-    MAX_STEP_CE, aborts it with a FloatingPointError that names the round,
-    client, local step and term."""
-    if not clients:
+def run_round(runs: list[Run]) -> list[tuple[ServerState, RoundReport] | Exception]:
+    """One synchronous communication round of every run of a bundle: per
+    run, its next server state and report, or the exception that ends it. A
+    non-finite loss, or a CE above MAX_STEP_CE, is a FloatingPointError that
+    names the round, client, local step and term. An error in the steps the
+    runs share raises; one in a run's own server step ends only that run."""
+    if not all(run.clients for run in runs):
         raise ValueError("no clients")
-    ordered = sorted(clients, key=lambda c: c.client_id)
-    try:
-        params, prototype_sets, means = local_updates(
-            ordered, server.global_params, server.generalized, cfg
-        )
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"round {server.round}, {exc}") from exc
+    results = []
+    for run, update in zip(runs, local_updates(runs)):
+        try:
+            if isinstance(update, FloatingPointError):
+                raise FloatingPointError(f"round {run.server.round}, {update}")
+            results.append(_serve(run, *update))
+        except Exception as exc:  # noqa: BLE001 - ends this run only
+            results.append(exc)
+    return results
 
-    new_global = aggregate_params(params, [len(c.data) for c in ordered])
+
+def _serve(
+    run: Run, params: ModelParams, prototype_sets: list[PrototypeSet], means: np.ndarray
+) -> tuple[ServerState, RoundReport]:
+    """The server's half of a run's round: aggregation, the generalized
+    prototypes, evaluation and the report."""
+    cfg, server = run.cfg, run.server
+    counts = [len(c.data) for c in sorted(run.clients, key=lambda c: c.client_id)]
+    new_global = aggregate_params(params, counts)
     if cfg.aggregator_mode == "reweight":
         fresh, _ = reweight(prototype_sets)
         generalized = ema_update(fresh, server.generalized, cfg.beta)
@@ -310,9 +339,9 @@ def run_round(
     else:
         raise ValueError(f"unknown aggregator mode {cfg.aggregator_mode!r}")
 
-    accuracy = evaluate(new_global, test_sets)
+    accuracy = evaluate(new_global, run.test_sets)
     # Python's row-order sum: np.mean would sum pairwise, other bits from M = 8
-    mean_losses = total_loss(*(sum(row.tolist()) / len(ordered) for row in means))
+    mean_losses = total_loss(*(sum(row.tolist()) / len(row) for row in means))
     # the average accuracy is the unweighted mean over domains
     average = sum(accuracy.values()) / len(accuracy)
     report = RoundReport(server.round, accuracy, average, mean_losses)
@@ -377,14 +406,49 @@ def summarize(reports: list[RoundReport]) -> dict:
     }
 
 
-def run_experiment(cfg: ExperimentConfig, round_callback=None) -> ExperimentResult:
-    """Run the configured number of rounds and summarize the tail."""
-    clients, test_sets, theta0 = build_problem(cfg)
-    server = ServerState(0, theta0, None)
-    reports: list[RoundReport] = []
-    for _ in range(cfg.rounds):
-        server, report = run_round(server, clients, test_sets, cfg)
-        reports.append(report)
-        if round_callback is not None:
-            round_callback(report)
-    return ExperimentResult(reports, summarize(reports), server.global_params, server.generalized)
+def run_experiments(cfgs: list[ExperimentConfig], round_callbacks=None) -> list:
+    """Run a bundle (see the module docstring): per config, in order, its
+    ExperimentResult, or the exception that ends it, which is the one the
+    config raises alone. round_callbacks, one per config or None, each get
+    that run's reports as its rounds finish; one that raises ends its run."""
+    if len({bundle_key(cfg) for cfg in cfgs}) > 1:
+        raise ValueError(f"a bundle's configs may differ only in {', '.join(PER_RUN_FIELDS)}")
+    callbacks = round_callbacks or [None] * len(cfgs)
+    outcomes: list = [None] * len(cfgs)
+    problems: dict[int, tuple] = {}  # seed -> its build_problem, shared by its runs
+    runs: dict[int, Run] = {}
+    for i, cfg in enumerate(cfgs):
+        try:
+            if cfg.seed not in problems:
+                problems[cfg.seed] = build_problem(cfg)
+        except Exception as exc:  # noqa: BLE001 - ends this run
+            outcomes[i] = exc
+            continue
+        clients, test_sets, theta0 = problems[cfg.seed]
+        runs[i] = Run(cfg, clients, test_sets, ServerState(0, theta0, None))
+    reports: dict[int, list[RoundReport]] = {i: [] for i in runs}
+    for _ in range(cfgs[0].rounds if runs else 0):
+        live = [i for i in runs if outcomes[i] is None]
+        if not live:
+            break
+        try:
+            results = run_round([runs[i] for i in live])
+        except Exception as exc:  # noqa: BLE001 - a step the runs share ends them all
+            results = [exc] * len(live)
+        for i, result in zip(live, results):
+            try:
+                if isinstance(result, Exception):
+                    raise result
+                runs[i].server, report = result
+                reports[i].append(report)
+                if callbacks[i] is not None:
+                    callbacks[i](report)
+            except Exception as exc:  # noqa: BLE001 - ends this run only
+                outcomes[i] = exc
+    for i, run in runs.items():
+        if outcomes[i] is None:
+            server = run.server
+            outcomes[i] = ExperimentResult(
+                reports[i], summarize(reports[i]), server.global_params, server.generalized
+            )
+    return outcomes

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from protofed.config import load_config
-from protofed.federation import run_experiment
+from protofed.federation import run_experiments
 from protofed.numerics import keyed_rng, sample_beta
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -20,6 +20,15 @@ BENCHMARK = load_config(CONFIGS / "default.txt")
 
 # Heavily skewed variant: domain 0 holds 5 of 8 clients (see the config file).
 SKEWED_VARIANT = load_config(CONFIGS / "skewed.txt")
+
+
+def run_experiment(cfg, round_callback=None):
+    """One config trained alone, the bundle of one: its ExperimentResult,
+    or the exception it fails with, raised."""
+    [result] = run_experiments([cfg], [round_callback])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @pytest.fixture(scope="session")

@@ -14,13 +14,12 @@ import pytest
 
 from protofed.cli import _map_subruns, main
 from protofed.config import ExperimentConfig
-from protofed.federation import run_experiment
 from protofed.losses import cross_entropy, gpcl_targets
 from protofed.model import ModelParams, forward, init_params, params_from_layers
 from protofed.numerics import keyed_rng
 from protofed.prototypes import PrototypeSet, average_prototypes, ema_update, reweight
 
-from conftest import BENCHMARK, SKEWED_VARIANT
+from conftest import BENCHMARK, SKEWED_VARIANT, run_experiment
 from oracles import (
     DictPrototypeSet,
     OracleReport,

@@ -20,6 +20,8 @@ from protofed.federation import build_problem
 from protofed.model import ModelParams, save_params
 from protofed.numerics import keyed_rng
 
+from conftest import CONFIGS
+
 TINY_CONFIG = """
 # tiny experiment for CLI tests
 rounds = 2
@@ -404,13 +406,13 @@ class TestAblateCommand:
     def test_each_distinct_config_trains_once(self, tiny_config, tmp_path, monkeypatch):
         # every group holds the base's own setting: 9 rows, 7 distinct configs
         calls = []
-        run_experiment = cli.run_experiment
+        run_experiments = cli.run_experiments
 
-        def counting(cfg, **kwargs):
-            calls.append(cfg.out_dir)
-            return run_experiment(cfg, **kwargs)
+        def counting(cfgs, round_callbacks):
+            calls.extend(cfg.out_dir for cfg in cfgs)
+            return run_experiments(cfgs, round_callbacks)
 
-        monkeypatch.setattr(cli, "run_experiment", counting)
+        monkeypatch.setattr(cli, "run_experiments", counting)
         monkeypatch.setenv("PROTOFED_THREADS", "1")
         out = tmp_path / "ablate_out"
         assert main(["ablate", "--config", str(tiny_config), "--out", str(out)]) == 0
@@ -424,6 +426,36 @@ class TestAblateCommand:
         for d in base_dirs:
             resolved = json.loads((d / "config.resolved.json").read_text())
             assert resolved["out_dir"] == str(d)
+
+
+class TestBundles:
+    def test_skewed_ablation_bundles(self, tmp_path, monkeypatch):
+        # configs/skewed.txt's 7 distinct configs form 4 bundles: those that
+        # differ only in GPCL or the aggregator, the two with APA off, and
+        # one for each other mixup mode. They go dearest first. At 4
+        # threads a bundle holds at most ceil(7 / 4) = 2 runs.
+        lines = (CONFIGS / "skewed.txt").read_text(encoding="utf-8").splitlines()
+        config = tmp_path / "skewed.txt"
+        config.write_text("\n".join(
+            [line for line in lines if not line.startswith(("rounds", "epochs"))]
+            + ["rounds = 1", "epochs = 1"]
+        ) + "\n", encoding="utf-8")
+        seen = []
+        map_subruns = cli._map_subruns
+
+        def recording(worker, items):
+            seen.append([[dirs[0].name for _, dirs in bundle] for bundle in items])
+            return map_subruns(worker, items)
+
+        monkeypatch.setattr(cli, "_map_subruns", recording)
+        a_runs = ["components_gpcl_off_apa_on", "components_gpcl_on_apa_on", "aggregator_average"]
+        rest = [["mixup_off"], ["components_gpcl_off_apa_off", "components_gpcl_on_apa_off"]]
+        for threads, a_bundles in (("2", [a_runs]), ("4", [a_runs[:2], a_runs[2:]])):
+            monkeypatch.setenv("PROTOFED_THREADS", threads)
+            seen.clear()
+            out = tmp_path / f"out{threads}"
+            assert main(["ablate", "--config", str(config), "--out", str(out)]) == 0
+            assert seen == [[["mixup_input"], *a_bundles, *rest]]
 
 
 class TestDumpEmbeddings:
@@ -543,12 +575,12 @@ class TestThreadsEnv:
     """PROTOFED_THREADS=2 runs sweep/ablate sub-runs in worker processes; the
     results, and the failures, must be the same as one after another."""
 
-    def _both(self, monkeypatch, tmp_path, command, config):
+    def _both(self, monkeypatch, tmp_path, command, config, settings=("1", "2")):
         """(exit code, output tree) per setting, both written to one path
         because config.resolved.json records the output directory."""
         out = tmp_path / command
         outcomes = []
-        for threads in ("1", "2"):
+        for threads in settings:
             monkeypatch.setenv("PROTOFED_THREADS", threads)
             shutil.rmtree(out, ignore_errors=True)
             code = main([command, "--config", str(config), "--out", str(out)])
@@ -582,6 +614,33 @@ class TestThreadsEnv:
         errors = [line for line in err if line.startswith("error:")]
         assert len(errors) == 2 and errors[0] == errors[1]
         assert errors[0].startswith("error: sub-run components_gpcl_off_apa_off: ")
+
+    def test_failed_run_in_a_bundle_same_at_any_threads(self, tmp_path, monkeypatch):
+        # the three tau values form one bundle at 1 thread and three at 4;
+        # the least positive tau overflows GPCL in round 1 either way, with
+        # the message it has alone, and its bundle-mates write what they
+        # write alone
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(TINY_CONFIG + "sweep_param = tau\nsweep_values = 0.07, 5e-324, 0.5\n")
+        (code_1, tree_1), (code_4, tree_4) = self._both(
+            monkeypatch, tmp_path, "sweep", sweep, ("1", "4")
+        )
+        assert code_1 == code_4 == 0
+        assert tree_1 == tree_4
+        rows = list(csv.DictReader(io.StringIO(tree_1["sweep.csv"].decode())))
+        where = "round 1, client 0, local step 0: gpcl loss is nan"
+        assert [r["status"] for r in rows] == ["ok", f"error: {where}", "ok"]
+        lines = tree_1["tau_4.94066e-324/rounds.jsonl"].decode().splitlines()
+        assert [json.loads(line)["round"] for line in lines] == [0]
+        for value in ("0.07", "0.5"):
+            config = tmp_path / f"run_{value}.txt"
+            config.write_text(TINY_CONFIG + f"tau = {value}\n", encoding="utf-8")
+            out = tmp_path / "sweep" / f"tau_{value}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            assert _tree(out) == {
+                name[len(f"tau_{value}/"):]: data for name, data in tree_1.items()
+                if name.startswith(f"tau_{value}/")
+            }
 
     def test_invalid_threads_exits_2(self, tiny_config, tmp_path, monkeypatch, capsys):
         argv = ["ablate", "--config", str(tiny_config), "--out", str(tmp_path / "o")]

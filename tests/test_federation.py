@@ -5,19 +5,22 @@ import numpy as np
 import pytest
 
 from protofed.config import ExperimentConfig
-from protofed.datagen import make_domains, partition
+from protofed.datagen import SampleSet, make_domains, partition, save_csv
 from protofed.federation import (
     ClientState,
+    Run,
     ServerState,
     aggregate_params,
     build_problem,
     evaluate,
     local_updates,
-    run_experiment,
+    run_experiments,
     run_round,
 )
 from protofed.model import ModelParams, forward, init_params, params_from_layers
 from protofed.numerics import keyed_rng
+
+from conftest import run_experiment
 
 TINY = ExperimentConfig(
     rounds=2,
@@ -40,10 +43,28 @@ def toy_params(seed=0, k=2, dim=8):
     return init_params(keyed_rng(seed, 51), [dim, 12, 6], k)
 
 
+def updates(clients, global_params, generalized, cfg):
+    """local_updates of one run alone: its (M, P) parameters, M local
+    prototype sets and (3, M) loss means, or its failure, raised."""
+    [result] = local_updates([Run(cfg, clients, {}, ServerState(0, global_params, generalized))])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def one_round(server, clients, test_sets, cfg):
+    """run_round of one run alone: its next server state and report, or its
+    failure, raised."""
+    [result] = run_round([Run(cfg, clients, test_sets, server)])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def solo_update(client, global_params, generalized, cfg):
     """local_updates on one client alone: its trained parameters, local
     prototypes and (3,) mean CE, GPCL and APA."""
-    params, [protos], means = local_updates([client], global_params, generalized, cfg)
+    params, [protos], means = updates([client], global_params, generalized, cfg)
     assert params.flat.shape == (1, global_params.flat.size) and means.shape == (3, 1)
     return ModelParams(params.flat[0], params.shapes), protos, means[:, 0]
 
@@ -189,7 +210,7 @@ class TestRunRound:
         local_params, local_protos, _ = solo_update(clients[0], theta0, None, cfg)
         # fresh client (same rng stream) for the round itself
         clients2, _, _ = build_problem(cfg)
-        new_server, report = run_round(server, clients2, test_sets, cfg)
+        new_server, report = one_round(server, clients2, test_sets, cfg)
         assert np.array_equal(new_server.global_params.flat, local_params.flat)
         for k in np.flatnonzero(local_protos.present):
             assert np.array_equal(new_server.generalized.vectors[k], local_protos.vectors[k])
@@ -208,12 +229,12 @@ class TestRunRound:
         cfg = TINY
         clients, test_sets, theta0 = build_problem(cfg)
         server = ServerState(0, theta0, None)
-        _, report_sorted = run_round(server, clients, test_sets, cfg)
+        _, report_sorted = one_round(server, clients, test_sets, cfg)
 
         clients2, _, _ = build_problem(cfg)
         shuffled = [clients2[i] for i in (2, 0, 1)]
         server2 = ServerState(0, theta0, None)
-        _, report_shuffled = run_round(server2, shuffled, test_sets, cfg)
+        _, report_shuffled = one_round(server2, shuffled, test_sets, cfg)
         assert report_sorted.per_domain_accuracy == report_shuffled.per_domain_accuracy
         assert report_sorted.losses == report_shuffled.losses
 
@@ -318,7 +339,7 @@ class TestNaiveLoopStructure:
         base, params = toy_client(seed=5), toy_params(seed=5)
         twin_a = ClientState(0, base.data, keyed_rng(5, 0))
         twin_b = ClientState(1, base.data, keyed_rng(5, 0))
-        trained, _, _ = local_updates([twin_a, twin_b], params, None, cfg)
+        trained, _, _ = updates([twin_a, twin_b], params, None, cfg)
         assert np.array_equal(trained.flat[0], trained.flat[1])
         merged = aggregate_params(trained, [len(base.data)] * 2)
         assert np.array_equal(merged.flat, trained.flat[0])
@@ -394,13 +415,13 @@ class TestLockstep:
         generalized = _seed_prototypes(clients, theta0)
         if sizes is None:  # synthetic clients are all the same size
             assert len({len(c.data) for c in clients}) == 1
-        together = local_updates(clients, theta0, generalized, cfg)
+        together = updates(clients, theta0, generalized, cfg)
         params, protos, means = together
         assert params.flat.shape == (len(clients), theta0.flat.size)
         assert len(protos) == len(clients) and means.shape == (3, len(clients))
         for i in range(len(clients)):
             alone_clients, _ = _fresh_clients(cfg, sizes)
-            alone = local_updates([alone_clients[i]], theta0, generalized, cfg)
+            alone = updates([alone_clients[i]], theta0, generalized, cfg)
             _assert_same_row(together, i, alone, 0)
 
     @pytest.mark.parametrize("mixup_mode", ["feature", "input"])
@@ -414,7 +435,7 @@ class TestLockstep:
         cfg = replace(LOCKSTEP, mixup_mode=mixup_mode)
         sizes = (23, 8, 17, 5, 23)  # short last batches of 7 and 1 rows
         clients, theta0 = _fresh_clients(cfg, sizes)
-        local_updates(clients, theta0, _seed_prototypes(clients, theta0), cfg)
+        updates(clients, theta0, _seed_prototypes(clients, theta0), cfg)
         for trained, c in zip(clients, _fresh_clients(cfg, sizes)[0]):
             n = len(c.data)
             b = min(cfg.batch_size, n)
@@ -434,7 +455,7 @@ class TestLockstep:
         clients, theta0 = _fresh_clients(cfg, (23, 8, 17, 5, 23))
         generalized = _seed_prototypes(clients, theta0)
         before = theta0.flat.copy()
-        params, _, _ = local_updates(clients, theta0, generalized, cfg)
+        params, _, _ = updates(clients, theta0, generalized, cfg)
         assert theta0.flat.tobytes() == before.tobytes()
         assert not np.shares_memory(params.flat, theta0.flat)
         for row in params.flat:
@@ -442,9 +463,9 @@ class TestLockstep:
 
     def test_results_in_client_id_order(self):
         clients, theta0 = _fresh_clients(LOCKSTEP, (23, 8, 17, 5, 23))
-        forward_order = local_updates(clients, theta0, None, LOCKSTEP)
+        forward_order = updates(clients, theta0, None, LOCKSTEP)
         clients, _ = _fresh_clients(LOCKSTEP, (23, 8, 17, 5, 23))
-        reverse_order = local_updates(clients[::-1], theta0, None, LOCKSTEP)
+        reverse_order = updates(clients[::-1], theta0, None, LOCKSTEP)
         for i in range(len(clients)):
             _assert_same_row(forward_order, i, reverse_order, i)
 
@@ -467,10 +488,105 @@ class TestLockstep:
                 c.data.x[row] = np.nan
             match = r"^client 1, local step 1: ce loss is nan$"
             with pytest.raises(FloatingPointError, match=match):
-                local_updates(clients, theta0, None, cfg)
+                updates(clients, theta0, None, cfg)
 
     def test_diverged_ce_names_bound(self):
         cfg = replace(TINY, lr=1e6, gpcl_enabled=False, apa_enabled=False, mixup_mode="off")
         bound = r"ce loss is \S+, above MAX_STEP_CE = 1e\+06"
         with pytest.raises(FloatingPointError, match=bound):
             run_experiment(cfg)
+
+
+BUNDLE = replace(TINY, rounds=3, batch_size=8)
+
+
+def _bundle_configs(tmp_path, mixup_mode):
+    """Four configs of one bundle on a CSV of TINY-shaped data with every
+    third row of domain 1 dropped: clients 0 and 1 hold 43 rows and client
+    2 holds 28, so at batch size 8 there are two size blocks, each with a
+    short last batch. The runs differ in seed, gpcl_enabled, tau,
+    aggregator_mode and beta; the first two share seed 0."""
+    domains = make_domains(3, 2, 8, 30, keyed_rng(9, 50), noise_sigma=0.3)
+    domains[1] = domains[1].take(np.flatnonzero(np.arange(len(domains[1])) % 3 != 0))
+    merged = SampleSet(*(np.concatenate([getattr(domains[d], name) for d in (0, 1)])
+                         for name in ("x", "labels", "domains")))
+    save_csv(merged, tmp_path / "data.csv")
+    base = replace(BUNDLE, csv_path=str(tmp_path / "data.csv"), mixup_mode=mixup_mode)
+    return [
+        base,
+        replace(base, gpcl_enabled=False, aggregator_mode="average"),
+        replace(base, seed=1, tau=0.2, beta=1.0),
+        replace(base, seed=2, tau=0.5, beta=0.0, aggregator_mode="average"),
+    ]
+
+
+def _assert_same_result(a, b):
+    """Two ExperimentResults agree bitwise: reports, final parameters and
+    final generalized prototypes."""
+    assert [repr(r.to_json_dict()) for r in a.reports] == [repr(r.to_json_dict()) for r in b.reports]
+    assert a.summary == b.summary
+    assert a.final_params.flat.tobytes() == b.final_params.flat.tobytes()
+    assert a.final_generalized.vectors.tobytes() == b.final_generalized.vectors.tobytes()
+    assert a.final_generalized.support.tolist() == b.final_generalized.support.tolist()
+
+
+class TestBundle:
+    """Training the runs of a bundle together, one stack per size block,
+    must equal training each run alone, bitwise."""
+
+    @pytest.mark.parametrize("mixup_mode", ["off", "feature", "input"])
+    def test_each_run_equals_it_alone(self, tmp_path, mixup_mode):
+        cfgs = _bundle_configs(tmp_path, mixup_mode)
+        clients, _, _ = build_problem(cfgs[0])
+        assert [len(c.data) for c in clients] == [43, 43, 28]
+        together = run_experiments(cfgs)
+        assert len(together) == len(cfgs)
+        for cfg, result in zip(cfgs, together):
+            _assert_same_result(result, run_experiment(cfg))
+
+    @pytest.mark.parametrize("mixup_mode", ["off", "input"])
+    def test_shared_streams_draw_once_per_round(self, mixup_mode):
+        # two runs on the same client objects (one seed): after one bundled
+        # round every stream is where one run's round alone leaves it
+        cfg = replace(LOCKSTEP, mixup_mode=mixup_mode)
+        sizes = (23, 8, 17, 5, 23)
+        _, test_sets, _ = build_problem(cfg)
+        clients, theta0 = _fresh_clients(cfg, sizes)
+        generalized = _seed_prototypes(clients, theta0)
+        server = ServerState(1, theta0, generalized)
+        mate = replace(cfg, gpcl_enabled=False, aggregator_mode="average")
+        bundled = run_round([Run(cfg, clients, test_sets, server),
+                             Run(mate, clients, test_sets, server)])
+        alone_clients, _ = _fresh_clients(cfg, sizes)
+        alone = one_round(server, alone_clients, test_sets, cfg)
+        for c, a in zip(clients, alone_clients):
+            counter = [x.rng.bit_generator.state["state"]["counter"].tolist() for x in (c, a)]
+            assert counter[0] == counter[1]
+            assert c.rng.random(4).tolist() == a.rng.random(4).tolist()
+        (bundled_server, bundled_report), _ = bundled
+        assert bundled_server.global_params.flat.tobytes() == alone[0].global_params.flat.tobytes()
+        assert repr(bundled_report.to_json_dict()) == repr(alone[1].to_json_dict())
+        mate_clients, _ = _fresh_clients(cfg, sizes)
+        mate_alone = one_round(server, mate_clients, test_sets, mate)
+        assert bundled[1][0].global_params.flat.tobytes() == (
+            mate_alone[0].global_params.flat.tobytes()
+        )
+
+    def test_failing_run_leaves_the_others(self):
+        # the least positive tau overflows GPCL as soon as it starts, in
+        # round 1; the run fails with its own message, and its
+        # bundle-mates, one of them on the same seed, train on as alone
+        cfgs = [replace(TINY, rounds=3), replace(TINY, rounds=3, tau=5e-324),
+                replace(TINY, rounds=3, seed=1, aggregator_mode="average")]
+        with pytest.raises(FloatingPointError) as solo:
+            run_experiment(cfgs[1])
+        assert str(solo.value) == "round 1, client 0, local step 0: gpcl loss is nan"
+        together = run_experiments(cfgs)
+        assert isinstance(together[1], FloatingPointError)
+        assert str(together[1]) == str(solo.value)
+        for i in (0, 2):
+            _assert_same_result(together[i], run_experiment(cfgs[i]))
+
+    def test_runs_outside_one_bundle_rejected(self):
+        with pytest.raises(ValueError, match="may differ only in seed, gpcl_enabled"):
+            run_experiments([TINY, replace(TINY, lr=0.02)])
