@@ -127,19 +127,6 @@ def _bad_term(ce: float, gpcl: float, apa: float) -> str | None:
     return None
 
 
-def _gpcl_terms(h, yb, contrasted) -> tuple[np.ndarray, np.ndarray]:
-    """GPCL's (G,) losses and (G, B, d) feature gradients over a stacked
-    step: for each (rows, targets, tau) run, the call it makes alone, over
-    its rows; zeros in the rows of runs without targets. A run that is the
-    whole block is one call on the whole stack."""
-    if len(contrasted) == 1 and contrasted[0][0] == slice(0, len(h)):
-        return gpcl_loss(h, yb, *contrasted[0][1:])
-    gpcl, g = np.zeros(len(h)), np.zeros_like(h)
-    for rows, targets, tau in contrasted:
-        gpcl[rows], g[rows] = gpcl_loss(h[rows], yb[rows], targets, tau)
-    return gpcl, g
-
-
 def _train_block(
     runs: list[Run], block: list[tuple[int, ClientState]], targets: list[GpclTargets | None]
 ) -> tuple[dict[int, tuple], ModelParams, np.ndarray]:
@@ -150,7 +137,8 @@ def _train_block(
     (a failed run's rows are garbage). Each epoch the first member on each
     stream draws its batch order and, when APA mixes, the epoch's pairs in
     one call over the full batches and one for a short last batch. A failing
-    step ends its run; the block ends once every run has failed.
+    step ends its run: its rows keep training, unchecked, until the block
+    ends or every run has failed.
     """
     cfg = runs[0].cfg  # every setting the stack reads is the bundle's
     owner, clients = [r for r, _ in block], [c for _, c in block]
@@ -174,6 +162,7 @@ def _train_block(
     ys = np.empty((num, n), dtype=np.int64)
     zero_features = np.zeros((num, batch_size, params.feature_dim))  # read-only
     failures: dict[int, tuple] = {}
+    live = np.ones(num, dtype=bool)  # the rows of runs that have not failed
     sums = np.zeros((3, num))
     for epoch in range(cfg.epochs):
         for j in drawers:
@@ -199,22 +188,28 @@ def _train_block(
             ce, d_logits = cross_entropy(trace.logits_2d, yb)
             d_features = zero_features[:, : h.shape[1]]
             gpcl = apa = np.zeros(num)
-            if contrasted:
-                gpcl, g = _gpcl_terms(h, yb, contrasted)
+            if contrasted:  # each run's own call over its rows, zeros in the others'
+                gpcl, g = np.zeros(num), np.zeros_like(h)
+                for rows, run_targets, tau in contrasted:
+                    gpcl[rows], g[rows] = gpcl_loss(h[rows], yb[rows], run_targets, tau)
                 d_features = np.add(d_features, g, out=g)
             if cfg.apa_enabled:
                 p_tilde = _apa_targets(params, h, xb, yb, pairs[step], cfg)
                 apa, g = apa_loss(h, yb, p_tilde)
                 d_features = np.add(d_features, g, out=g)
-            # a finite sum means finite terms; only a failing step is searched client by client
+            # a finite sum means finite terms; only a failing step is searched,
+            # in the rows of the runs that have not failed
             if not (np.isfinite(ce + gpcl + apa).all() and ce.max() <= MAX_STEP_CE):
-                for j, (r, c) in enumerate(block):  # a run's lowest failing client id first
+                bad = live & ~(np.isfinite(ce + gpcl + apa) & (ce <= MAX_STEP_CE))
+                for j in np.flatnonzero(bad):  # a run's lowest failing client id first
+                    r, c = block[j]
                     why = None if r in failures else _bad_term(float(ce[j]), float(gpcl[j]),
                                                                float(apa[j]))
-                    if why is not None:
+                    if why is not None:  # None: finite terms whose sum overflows
                         where = f"client {c.client_id}, local step {epoch * steps + step}"
                         failures[r] = (epoch, step, c.client_id, f"{where}: {why}")
-                if len(failures) == len(spans):
+                        live[spans[r]] = False
+                if not live.any():
                     return failures, params, sums
             backward(params, trace, d_logits, d_features, out=grads)
             sgd_step(params, grads, cfg.lr, cfg.weight_decay, out=params)
@@ -232,6 +227,9 @@ def local_updates(
     or a FloatingPointError naming the client, local step (counted across
     epochs) and term of the run's first failing step (a non-finite term or
     a CE above MAX_STEP_CE), lowest failing client id first.
+
+    Each client's batch size is clamped to its dataset. A run's failure is
+    reported over all blocks: the other blocks finish their update first.
     """
     ordered = [sorted(run.clients, key=lambda c: c.client_id) for run in runs]
     blocks: dict[int, list[tuple[int, int]]] = {}  # dataset size -> (run, client position)
