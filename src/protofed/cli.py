@@ -6,12 +6,14 @@ formatting. Exit codes: 0 success, 2 configuration error, 3 runtime error.
 PROTOFED_THREADS sets how many worker processes run the sub-runs of a sweep
 or an ablation (default 1: all in this process); it never changes results.
 The workers are bare os.fork children of this process, so a value above 1
-needs a platform with fork. Sweep and ablate share one sub-run worker, which
-trains a bundle of configs in lockstep (federation.run_experiments), trains
-a config that several sub-runs share once and copies its artifacts, and
-never raises: a failed sweep value becomes an error row, and a failed
-ablation exits 3 only once every distinct config has run, so the output
-tree is the same at any thread count.
+needs a platform with fork. Sweep and ablate share one sub-run worker,
+_train, which trains a bundle of configs in lockstep
+(federation.run_experiments), trains a config that several sub-runs share
+once and copies its artifacts, and never raises. It is the one place a
+failure is isolated: a bundle of several configs stops at its first failure
+and trains again one config at a time. A failed sweep value becomes an
+error row, and a failed ablation exits 3 only once every distinct config
+has run, so the output tree is the same at any thread count.
 """
 
 from __future__ import annotations
@@ -142,43 +144,31 @@ def _write_round(fh, report) -> None:
     fh.flush()
 
 
-def execute_run(cfgs: list[ExperimentConfig]) -> list[ExperimentResult | Exception]:
+def execute_run(cfgs: list[ExperimentConfig]) -> list[ExperimentResult]:
     """Run one bundle of experiments (federation.run_experiments) and write
     rounds.jsonl, summary.json, config.resolved.json, model.bin and
-    prototypes.json into each one's out_dir. Returns, per config, its result
-    or the exception that ended it, in training or in a write; a failed
-    run's rounds.jsonl keeps the rounds before the failure."""
-    results: list = [None] * len(cfgs)
+    prototypes.json into each one's out_dir. Returns each config's result;
+    the first failure, in training or in a write, raises, and a failed
+    bundle's rounds.jsonl files keep the rounds before the failure."""
     with contextlib.ExitStack() as files:
-        callbacks = {}  # position in cfgs -> its rounds.jsonl writer
-        for i, cfg in enumerate(cfgs):
-            try:
-                Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-                write_resolved(cfg)
-                fh = files.enter_context(open(Path(cfg.out_dir) / "rounds.jsonl", "w",
-                                              encoding="utf-8"))
-                callbacks[i] = functools.partial(_write_round, fh)
-            except Exception as exc:  # noqa: BLE001 - ends this run only
-                results[i] = exc
-        trained = run_experiments([cfgs[i] for i in callbacks], list(callbacks.values()))
-    for i, result in zip(callbacks, trained):
-        results[i] = result
-        out_dir = Path(cfgs[i].out_dir)
-        try:
-            if not isinstance(result, Exception):
-                _write_json(result.summary, out_dir / "summary.json")
-                save_params(result.final_params, out_dir / "model.bin")
-                save_prototypes_json(result.final_generalized, out_dir / "prototypes.json")
-        except Exception as exc:  # noqa: BLE001 - ends this run only
-            results[i] = exc
+        callbacks = []  # each config's rounds.jsonl writer
+        for cfg in cfgs:
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+            write_resolved(cfg)
+            fh = files.enter_context(open(Path(cfg.out_dir) / "rounds.jsonl", "w",
+                                          encoding="utf-8"))
+            callbacks.append(functools.partial(_write_round, fh))
+        results = run_experiments(cfgs, callbacks)
+    for cfg, result in zip(cfgs, results):
+        out_dir = Path(cfg.out_dir)
+        _write_json(result.summary, out_dir / "summary.json")
+        save_params(result.final_params, out_dir / "model.bin")
+        save_prototypes_json(result.final_generalized, out_dir / "prototypes.json")
     return results
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
-    [result] = execute_run([cfg])
-    if isinstance(result, Exception):
-        raise result
+    execute_run([load_config(args.config, seed=args.seed, out_dir=args.out)])
     return 0
 
 
@@ -197,22 +187,23 @@ def _train(bundle: list[tuple[ExperimentConfig, list[Path]]]) -> list[dict | str
     directories, and return each one's summary, or the error message it
     fails with; never raises, so every sub-run runs at any PROTOFED_THREADS.
     Each other directory gets its own config.resolved.json and byte copies
-    of the rest."""
-    results = execute_run([dataclasses.replace(cfg, out_dir=str(dirs[0])) for cfg, dirs in bundle])
-    rows: list[dict | str] = []
-    for (cfg, dirs), result in zip(bundle, results):
-        try:
-            if isinstance(result, Exception):
-                raise result
+    of the rest. A bundle of several configs that fails anywhere trains
+    again one config at a time, rewriting their directories, so each config
+    ends exactly as it does alone; only a failing bundle trains twice."""
+    try:
+        results = execute_run([dataclasses.replace(cfg, out_dir=str(dirs[0]))
+                               for cfg, dirs in bundle])
+        for cfg, dirs in bundle:
             for sub_dir in dirs[1:]:
                 sub_dir.mkdir(parents=True, exist_ok=True)
                 write_resolved(dataclasses.replace(cfg, out_dir=str(sub_dir)))
                 for name in ("rounds.jsonl", "summary.json", "model.bin", "prototypes.json"):
                     shutil.copyfile(dirs[0] / name, sub_dir / name)
-            rows.append(result.summary)
-        except Exception as exc:  # the command decides what a failed sub-run means
-            rows.append(str(exc))
-    return rows
+        return [result.summary for result in results]
+    except Exception as exc:  # the command decides what a failed sub-run means
+        if len(bundle) == 1:
+            return [str(exc)]
+    return [row for item in bundle for row in _train([item])]
 
 
 def _cost_rank(cfg: ExperimentConfig) -> tuple:
@@ -373,7 +364,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        # one error line per message line: a malformed CSV names each bad row
+        print("error: " + str(exc).replace("\n", "\nerror: "), file=sys.stderr)
         return 3
 
 

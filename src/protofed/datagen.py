@@ -166,12 +166,35 @@ def save_csv(samples: SampleSet, path) -> None:
             writer.writerow(row)
 
 
+def _parse_row(row: list[str], header: list[str], bounds: dict[str, float]) -> list:
+    """A data row's features, then its label and domain. A ValueError names
+    the row's first fault: its column count, or the first cell that does
+    not parse, is a non-finite feature, or is a label or domain outside
+    [0, its bound)."""
+    if len(row) != len(header):
+        raise ValueError(f"{len(row)} columns, expected {len(header)}")
+    values = []
+    for name, cell in zip(header, row):
+        try:
+            value = int(cell) if name in bounds else float(cell)
+        except ValueError:
+            raise ValueError(f"{name} {cell!r} does not parse") from None
+        if name not in bounds and not math.isfinite(value):
+            raise ValueError(f"{name} is {value}, not finite")
+        if name in bounds and not 0 <= value < bounds[name]:  # exact for any int
+            raise ValueError(f"{name} {value} outside [0, {bounds[name]})")
+        values.append(value)
+    return values
+
+
 def load_csv(
-    path, input_dim: int | None = None, num_classes: int | None = None,
-    num_domains: int | None = None,
+    path, input_dim: int | None = None, num_classes: float = math.inf,
+    num_domains: float = math.inf,
 ) -> SampleSet:
-    """Parse a samples CSV; a malformed one raises ValueError, naming bad
-    rows by line: ``malformed rows (lines 3, 7)``. A None bound is unchecked."""
+    """Parse a samples CSV. A malformed one raises ValueError with one line
+    per bad row, naming the file, the row's line and its first fault, and a
+    last line naming every bad row's line: ``malformed rows (lines 3, 7)``.
+    A None input_dim is unchecked, as are labels and domains by default."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -184,38 +207,22 @@ def load_csv(
         if input_dim is not None and dim != input_dim:
             raise ValueError(f"header has {dim} feature columns, expected {input_dim}")
 
-        xs, labels, domains, bad = [], [], [], []
+        bounds = {"label": num_classes, "domain": num_domains}
+        rows, faults = [], {}  # line -> its first fault
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != dim + 2:
-                bad.append(line_no)
-                continue
             try:
-                vec = np.array([float(c) for c in row[:dim]])
-                label = int(row[dim])
-                domain = int(row[dim + 1])
-            except ValueError:
-                bad.append(line_no)
-                continue
-            if not np.all(np.isfinite(vec)) or label < 0 or domain < 0:
-                bad.append(line_no)
-                continue
-            if num_classes is not None and label >= num_classes:
-                bad.append(line_no)
-                continue
-            if num_domains is not None and domain >= num_domains:
-                bad.append(line_no)
-                continue
-            xs.append(vec)
-            labels.append(label)
-            domains.append(domain)
-    if bad:
-        raise ValueError(f"malformed rows (lines {', '.join(map(str, bad))})")
+                rows.append(_parse_row(row, header, bounds))
+            except ValueError as exc:
+                faults[line_no] = f"{path}: line {line_no}: {exc}"
+    if faults:
+        lines = ", ".join(map(str, faults))
+        raise ValueError("\n".join([*faults.values(), f"malformed rows (lines {lines})"]))
     return SampleSet(  # a header-only file gives (0, dim) features
-        np.array(xs, dtype=np.float64).reshape(-1, dim),
-        np.array(labels, dtype=np.int64),
-        np.array(domains, dtype=np.int64),
+        np.array([row[:dim] for row in rows], dtype=np.float64).reshape(-1, dim),
+        np.array([row[dim] for row in rows], dtype=np.int64),
+        np.array([row[dim + 1] for row in rows], dtype=np.int64),
     )
 
 

@@ -13,8 +13,9 @@ model.py) ordered (run, client id). Each step runs forward, CE, mixup, APA,
 backward and SGD once over the stack, and GPCL once per run over its rows.
 Each distinct stream draws once per epoch (its batch order, then mixup
 pairs in step order) and its other members replay the draws. Each run's
-draws and arithmetic are therefore exactly those of training it alone, and
-a failure ends only its own run, with the exception it raises alone.
+draws and arithmetic are therefore exactly those of training it alone.
+A failure in any run stops the whole bundle and raises; the CLI then trains
+each of the bundle's configs again alone (cli._train).
 
 With GPCL, APA and mixup all disabled the loop degrades to plain FedAvg and
 is required to match a minimal independent FedAvg implementation bitwise.
@@ -129,16 +130,16 @@ def _bad_term(ce: float, gpcl: float, apa: float) -> str | None:
 
 def _train_block(
     runs: list[Run], block: list[tuple[int, ClientState]], targets: list[GpclTargets | None]
-) -> tuple[dict[int, tuple], ModelParams, np.ndarray]:
+) -> tuple[tuple | None, ModelParams, np.ndarray]:
     """The whole local update of one size block, listed as (run, client) in
     (run, client id) order, as one (G, P) stack written in place. Returns
-    each failed run's first failure, {run: (epoch, step, client id,
-    message)}, the (G, P) parameters and the (3, G) mean CE, GPCL and APA
-    (a failed run's rows are garbage). Each epoch the first member on each
-    stream draws its batch order and, when APA mixes, the epoch's pairs in
-    one call over the full batches and one for a short last batch. A failing
-    step ends its run: its rows keep training, unchecked, until the block
-    ends or every run has failed.
+    the block's first failure, (epoch, step, client id, message) or None,
+    the (G, P) parameters and the (3, G) mean CE, GPCL and APA (garbage
+    after a failure). Each epoch the first member on each stream draws its
+    batch order and, when APA mixes, the epoch's pairs in one call over the
+    full batches and one for a short last batch. The first failing step
+    ends the block; of its failing rows, the first in (run, client id) order
+    is reported.
     """
     cfg = runs[0].cfg  # every setting the stack reads is the bundle's
     owner, clients = [r for r, _ in block], [c for _, c in block]
@@ -161,8 +162,6 @@ def _train_block(
     xs = np.empty((num, n) + clients[0].data.x.shape[1:])
     ys = np.empty((num, n), dtype=np.int64)
     zero_features = np.zeros((num, batch_size, params.feature_dim))  # read-only
-    failures: dict[int, tuple] = {}
-    live = np.ones(num, dtype=bool)  # the rows of runs that have not failed
     sums = np.zeros((3, num))
     for epoch in range(cfg.epochs):
         for j in drawers:
@@ -197,38 +196,30 @@ def _train_block(
                 p_tilde = _apa_targets(params, h, xb, yb, pairs[step], cfg)
                 apa, g = apa_loss(h, yb, p_tilde)
                 d_features = np.add(d_features, g, out=g)
-            # a finite sum means finite terms; only a failing step is searched,
-            # in the rows of the runs that have not failed
+            # a finite sum means finite terms; only a failing step is searched
             if not (np.isfinite(ce + gpcl + apa).all() and ce.max() <= MAX_STEP_CE):
-                bad = live & ~(np.isfinite(ce + gpcl + apa) & (ce <= MAX_STEP_CE))
-                for j in np.flatnonzero(bad):  # a run's lowest failing client id first
-                    r, c = block[j]
-                    why = None if r in failures else _bad_term(float(ce[j]), float(gpcl[j]),
-                                                               float(apa[j]))
-                    if why is not None:  # None: finite terms whose sum overflows
+                for j, (_, c) in enumerate(block):
+                    why = _bad_term(float(ce[j]), float(gpcl[j]), float(apa[j]))
+                    if why is not None:  # None: sound, or finite terms whose sum overflows
                         where = f"client {c.client_id}, local step {epoch * steps + step}"
-                        failures[r] = (epoch, step, c.client_id, f"{where}: {why}")
-                        live[spans[r]] = False
-                if not live.any():
-                    return failures, params, sums
+                        return (epoch, step, c.client_id, f"{where}: {why}"), params, sums
             backward(params, trace, d_logits, d_features, out=grads)
             sgd_step(params, grads, cfg.lr, cfg.weight_decay, out=params)
             sums += (ce, gpcl, apa)
-    return failures, params, sums / (cfg.epochs * steps)
+    return None, params, sums / (cfg.epochs * steps)
 
 
-def local_updates(
-    runs: list[Run],
-) -> list[tuple[ModelParams, list[PrototypeSet], np.ndarray] | FloatingPointError]:
+def local_updates(runs: list[Run]) -> list[tuple[ModelParams, list[PrototypeSet], np.ndarray]]:
     """Train each run's global model on its clients, one size block over all
     runs at a time, then compute each client's local prototypes over its
     full dataset. Returns per run, in client-id order, the (M, P) trained
-    parameters, the M prototype sets and the (3, M) mean CE, GPCL and APA;
-    or a FloatingPointError naming the client, local step (counted across
-    epochs) and term of the run's first failing step (a non-finite term or
-    a CE above MAX_STEP_CE), lowest failing client id first.
+    parameters, the M prototype sets and the (3, M) mean CE, GPCL and APA.
+    A failing step (a non-finite term or a CE above MAX_STEP_CE) raises one
+    FloatingPointError naming the round, client, local step (counted across
+    epochs) and term of the first failure over all blocks: the earliest
+    epoch, then step, then the lowest failing client id.
 
-    Each client's batch size is clamped to its dataset. A run's failure is
+    Each client's batch size is clamped to its dataset. A failure is
     reported over all blocks: the other blocks finish their update first.
     """
     ordered = [sorted(run.clients, key=lambda c: c.client_id) for run in runs]
@@ -247,20 +238,19 @@ def local_updates(
     shapes = runs[0].server.global_params.shapes
     params = [np.empty((len(c), runs[0].server.global_params.flat.size)) for c in ordered]
     means = [np.empty((3, len(c))) for c in ordered]
-    failures: list[list[tuple]] = [[] for _ in runs]
+    failures = []
     for members in blocks.values():
         block = [(r, ordered[r][i]) for r, i in members]
-        failed, block_params, block_means = _train_block(runs, block, targets)
+        failure, block_params, block_means = _train_block(runs, block, targets)
+        if failure is not None:
+            failures.append(failure)
         for j, (r, i) in enumerate(members):
             params[r][i], means[r][:, i] = block_params.flat[j], block_means[:, j]
-        for r, failure in failed.items():
-            failures[r].append(failure)
+    if failures:
+        raise FloatingPointError(f"round {runs[0].server.round}, {min(failures)[-1]}")
 
     results = []
-    for run, clients, flat, run_means, failed in zip(runs, ordered, params, means, failures):
-        if failed:
-            results.append(FloatingPointError(min(failed)[-1]))
-            continue
+    for run, clients, flat, run_means in zip(runs, ordered, params, means):
         # one client at a time: stacking every client's full dataset would
         # hold M times the activations for a forward that runs once a round
         protos = []
@@ -302,48 +292,35 @@ def evaluate(params: ModelParams, test_sets: dict[int, SampleSet]) -> dict[int, 
     return per_domain
 
 
-def run_round(runs: list[Run]) -> list[tuple[ServerState, RoundReport] | Exception]:
-    """One synchronous communication round of every run of a bundle: per
-    run, its next server state and report, or the exception that ends it. A
-    non-finite loss, or a CE above MAX_STEP_CE, is a FloatingPointError that
-    names the round, client, local step and term. An error in the steps the
-    runs share raises; one in a run's own server step ends only that run."""
+def run_round(runs: list[Run]) -> list[tuple[ServerState, RoundReport]]:
+    """One synchronous communication round of every run of a bundle: the
+    local updates, then per run the server's half (aggregation, the
+    generalized prototypes, evaluation) and the report. Returns per run its
+    next server state and report; any run's error raises (a non-finite loss,
+    or a CE above MAX_STEP_CE, is local_updates' FloatingPointError)."""
     if not all(run.clients for run in runs):
         raise ValueError("no clients")
     results = []
-    for run, update in zip(runs, local_updates(runs)):
-        try:
-            if isinstance(update, FloatingPointError):
-                raise FloatingPointError(f"round {run.server.round}, {update}")
-            results.append(_serve(run, *update))
-        except Exception as exc:  # noqa: BLE001 - ends this run only
-            results.append(exc)
+    for run, (params, prototype_sets, means) in zip(runs, local_updates(runs)):
+        cfg, server = run.cfg, run.server
+        counts = [len(c.data) for c in sorted(run.clients, key=lambda c: c.client_id)]
+        new_global = aggregate_params(params, counts)
+        if cfg.aggregator_mode == "reweight":
+            fresh, _ = reweight(prototype_sets)
+            generalized = ema_update(fresh, server.generalized, cfg.beta)
+        elif cfg.aggregator_mode == "average":
+            generalized = average_prototypes(prototype_sets)
+        else:
+            raise ValueError(f"unknown aggregator mode {cfg.aggregator_mode!r}")
+
+        accuracy = evaluate(new_global, run.test_sets)
+        # Python's row-order sum: np.mean would sum pairwise, other bits from M = 8
+        mean_losses = total_loss(*(sum(row.tolist()) / len(row) for row in means))
+        # the average accuracy is the unweighted mean over domains
+        average = sum(accuracy.values()) / len(accuracy)
+        report = RoundReport(server.round, accuracy, average, mean_losses)
+        results.append((ServerState(server.round + 1, new_global, generalized), report))
     return results
-
-
-def _serve(
-    run: Run, params: ModelParams, prototype_sets: list[PrototypeSet], means: np.ndarray
-) -> tuple[ServerState, RoundReport]:
-    """The server's half of a run's round: aggregation, the generalized
-    prototypes, evaluation and the report."""
-    cfg, server = run.cfg, run.server
-    counts = [len(c.data) for c in sorted(run.clients, key=lambda c: c.client_id)]
-    new_global = aggregate_params(params, counts)
-    if cfg.aggregator_mode == "reweight":
-        fresh, _ = reweight(prototype_sets)
-        generalized = ema_update(fresh, server.generalized, cfg.beta)
-    elif cfg.aggregator_mode == "average":
-        generalized = average_prototypes(prototype_sets)
-    else:
-        raise ValueError(f"unknown aggregator mode {cfg.aggregator_mode!r}")
-
-    accuracy = evaluate(new_global, run.test_sets)
-    # Python's row-order sum: np.mean would sum pairwise, other bits from M = 8
-    mean_losses = total_loss(*(sum(row.tolist()) / len(row) for row in means))
-    # the average accuracy is the unweighted mean over domains
-    average = sum(accuracy.values()) / len(accuracy)
-    report = RoundReport(server.round, accuracy, average, mean_losses)
-    return ServerState(server.round + 1, new_global, generalized), report
 
 
 def synthetic_domains(cfg: ExperimentConfig, rng: np.random.Generator) -> dict[int, SampleSet]:
@@ -404,49 +381,28 @@ def summarize(reports: list[RoundReport]) -> dict:
     }
 
 
-def run_experiments(cfgs: list[ExperimentConfig], round_callbacks=None) -> list:
+def run_experiments(cfgs: list[ExperimentConfig], round_callbacks=None) -> list[ExperimentResult]:
     """Run a bundle (see the module docstring): per config, in order, its
-    ExperimentResult, or the exception that ends it, which is the one the
-    config raises alone. round_callbacks, one per config or None, each get
-    that run's reports as its rounds finish; one that raises ends its run."""
+    ExperimentResult. The first failure of any run, a round callback's
+    included, stops the whole bundle and raises; a bundle of one raises its
+    config's own failure. round_callbacks, one per config or None, each get
+    that run's reports as its rounds finish."""
     if len({bundle_key(cfg) for cfg in cfgs}) > 1:
         raise ValueError(f"a bundle's configs may differ only in {', '.join(PER_RUN_FIELDS)}")
     callbacks = round_callbacks or [None] * len(cfgs)
-    outcomes: list = [None] * len(cfgs)
     problems: dict[int, tuple] = {}  # seed -> its build_problem, shared by its runs
-    runs: dict[int, Run] = {}
-    for i, cfg in enumerate(cfgs):
-        try:
-            if cfg.seed not in problems:
-                problems[cfg.seed] = build_problem(cfg)
-        except Exception as exc:  # noqa: BLE001 - ends this run
-            outcomes[i] = exc
-            continue
+    runs = []
+    for cfg in cfgs:
+        if cfg.seed not in problems:
+            problems[cfg.seed] = build_problem(cfg)
         clients, test_sets, theta0 = problems[cfg.seed]
-        runs[i] = Run(cfg, clients, test_sets, ServerState(0, theta0, None))
-    reports: dict[int, list[RoundReport]] = {i: [] for i in runs}
+        runs.append(Run(cfg, clients, test_sets, ServerState(0, theta0, None)))
+    reports: list[list[RoundReport]] = [[] for _ in runs]
     for _ in range(cfgs[0].rounds if runs else 0):
-        live = [i for i in runs if outcomes[i] is None]
-        if not live:
-            break
-        try:
-            results = run_round([runs[i] for i in live])
-        except Exception as exc:  # noqa: BLE001 - a step the runs share ends them all
-            results = [exc] * len(live)
-        for i, result in zip(live, results):
-            try:
-                if isinstance(result, Exception):
-                    raise result
-                runs[i].server, report = result
-                reports[i].append(report)
-                if callbacks[i] is not None:
-                    callbacks[i](report)
-            except Exception as exc:  # noqa: BLE001 - ends this run only
-                outcomes[i] = exc
-    for i, run in runs.items():
-        if outcomes[i] is None:
-            server = run.server
-            outcomes[i] = ExperimentResult(
-                reports[i], summarize(reports[i]), server.global_params, server.generalized
-            )
-    return outcomes
+        for i, (server, report) in enumerate(run_round(runs)):
+            runs[i].server = server
+            reports[i].append(report)
+            if callbacks[i] is not None:
+                callbacks[i](report)
+    return [ExperimentResult(r, summarize(r), run.server.global_params, run.server.generalized)
+            for run, r in zip(runs, reports)]

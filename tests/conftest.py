@@ -23,11 +23,8 @@ SKEWED_VARIANT = load_config(CONFIGS / "skewed.txt")
 
 
 def run_experiment(cfg, round_callback=None):
-    """One config trained alone, the bundle of one: its ExperimentResult,
-    or the exception it fails with, raised."""
+    """One config trained alone, the bundle of one: its ExperimentResult."""
     [result] = run_experiments([cfg], [round_callback])
-    if isinstance(result, Exception):
-        raise result
     return result
 
 

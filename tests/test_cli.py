@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.endswith("error: malformed rows (lines 3, 7)\n")
 
+    def test_each_malformed_csv_line_is_an_error_line(self, tiny_config, tmp_path, capsys):
+        # TINY_CONFIG has 3 classes and 2 domains: each bad line gets its
+        # own stderr line naming the file and its fault
+        data_path = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(tiny_config), "--out", str(data_path)]) == 0
+        lines = data_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1][: lines[1].rindex(",", 0, -3)] + ",9,0\n"
+        lines[4] = lines[4][: lines[4].rindex(",")] + ",7\n"
+        data_path.write_text("".join(lines), encoding="utf-8")
+        config = tmp_path / "csv.txt"
+        config.write_text(TINY_CONFIG + f"csv_path = {data_path}\n", encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data_path}: line 2: label 9 outside [0, 3)",
+            f"error: {data_path}: line 5: domain 7 outside [0, 2)",
+            "error: malformed rows (lines 2, 5)",
+        ]
+
 
 class TestSweepCommand:
     def test_tau_sweep_rows(self, tmp_path):
@@ -429,6 +448,30 @@ class TestAblateCommand:
 
 
 class TestBundles:
+    def test_only_a_failing_bundle_of_several_retrains(self, tmp_path, monkeypatch):
+        # a bundle stops at its first failure and _train then trains each of
+        # its configs alone: a passing bundle, or a failing bundle of one,
+        # trains once; a failing bundle of three, 1 + 3 times
+        calls = []
+        run_experiments = cli.run_experiments
+
+        def counting(cfgs, round_callbacks):
+            calls.append(len(cfgs))
+            return run_experiments(cfgs, round_callbacks)
+
+        monkeypatch.setattr(cli, "run_experiments", counting)
+        tiny = build_config(parse_kv_text(TINY_CONFIG))
+        failing = replace(tiny, tau=5e-324)
+        for name, cfgs, want in (
+            ("passing", [tiny, replace(tiny, tau=0.5), replace(tiny, seed=1)], [3]),
+            ("alone", [failing], [1]),
+            ("failing", [tiny, failing, replace(tiny, seed=1)], [3, 1, 1, 1]),
+        ):
+            calls.clear()
+            rows = cli._train([(cfg, [tmp_path / name / str(i)]) for i, cfg in enumerate(cfgs)])
+            assert calls == want, name
+            assert [isinstance(row, str) for row in rows] == [cfg is failing for cfg in cfgs]
+
     def test_skewed_ablation_bundles(self, tmp_path, monkeypatch):
         # configs/skewed.txt's 7 distinct configs form 4 bundles: those that
         # differ only in GPCL or the aggregator, the two with APA off, and

@@ -184,6 +184,42 @@ class TestCsv:
             load_csv(path)
         assert str(err.value).endswith("(lines 2)")
 
+    def test_each_bad_line_names_file_and_first_fault(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "x0,x1,label,domain\n"
+            "1.0,2.0,0\n"  # line 2
+            "oops,inf,0,0\n"  # line 3: the first fault, in column order
+            "1.0,inf,9,0\n"
+            "1.0,2.0,9,7\n"  # line 5
+            "1.0,2.0,4,7\n"
+            "1.0,2.0,-1,0\n"  # line 7
+            "1.0,2.0,1.5,0\n"
+            f"1.0,2.0,{10**400},0\n"  # line 9: too large for a float
+            "1.0,2.0,4,3\n",  # sound
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as err:
+            load_csv(path, input_dim=2, num_classes=5, num_domains=4)
+        assert str(err.value).splitlines() == [
+            f"{path}: line 2: 3 columns, expected 4",
+            f"{path}: line 3: x0 'oops' does not parse",
+            f"{path}: line 4: x1 is inf, not finite",
+            f"{path}: line 5: label 9 outside [0, 5)",
+            f"{path}: line 6: domain 7 outside [0, 4)",
+            f"{path}: line 7: label -1 outside [0, 5)",
+            f"{path}: line 8: label '1.5' does not parse",
+            f"{path}: line 9: label {10**400} outside [0, 5)",
+            "malformed rows (lines 2, 3, 4, 5, 6, 7, 8, 9)",
+        ]
+        # without bounds only a negative label or domain is out of range
+        path.write_text("x0,label,domain\n1.0,9,7\n1.0,0,-2\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_csv(path)
+        assert str(err.value) == (
+            f"{path}: line 3: domain -2 outside [0, inf)\nmalformed rows (lines 3)"
+        )
+
     def test_schema_dim_mismatch(self, tmp_path):
         path = tmp_path / "dim.csv"
         path.write_text("x0,x1,label,domain\n", encoding="utf-8")

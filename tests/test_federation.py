@@ -1,9 +1,11 @@
 import hashlib
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from protofed import cli
 from protofed.config import ExperimentConfig
 from protofed.datagen import SampleSet, make_domains, partition, save_csv
 from protofed.federation import (
@@ -45,19 +47,14 @@ def toy_params(seed=0, k=2, dim=8):
 
 def updates(clients, global_params, generalized, cfg):
     """local_updates of one run alone: its (M, P) parameters, M local
-    prototype sets and (3, M) loss means, or its failure, raised."""
+    prototype sets and (3, M) loss means."""
     [result] = local_updates([Run(cfg, clients, {}, ServerState(0, global_params, generalized))])
-    if isinstance(result, Exception):
-        raise result
     return result
 
 
 def one_round(server, clients, test_sets, cfg):
-    """run_round of one run alone: its next server state and report, or its
-    failure, raised."""
+    """run_round of one run alone: its next server state and report."""
     [result] = run_round([Run(cfg, clients, test_sets, server)])
-    if isinstance(result, Exception):
-        raise result
     return result
 
 
@@ -486,7 +483,7 @@ class TestLockstep:
             for c, position in ((clients[i], position) for i, position in fails):
                 row = keyed_rng(cfg.seed, c.client_id).permutation(len(c.data))[position]
                 c.data.x[row] = np.nan
-            match = r"^client 1, local step 1: ce loss is nan$"
+            match = r"^round 0, client 1, local step 1: ce loss is nan$"
             with pytest.raises(FloatingPointError, match=match):
                 updates(clients, theta0, None, cfg)
 
@@ -572,20 +569,33 @@ class TestBundle:
             mate_alone[0].global_params.flat.tobytes()
         )
 
-    def test_failing_run_leaves_the_others(self):
+    def test_failing_run_leaves_the_others(self, tmp_path):
         # the least positive tau overflows GPCL as soon as it starts, in
-        # round 1; the run fails with its own message, and its
-        # bundle-mates, one of them on the same seed, train on as alone
+        # round 1: the bundle stops and raises that failure. The CLI's
+        # sub-run worker then trains each config alone, so the run fails
+        # with its own message and its bundle-mates, one of them on the
+        # same seed, end with the summaries and files they have alone
         cfgs = [replace(TINY, rounds=3), replace(TINY, rounds=3, tau=5e-324),
                 replace(TINY, rounds=3, seed=1, aggregator_mode="average")]
-        with pytest.raises(FloatingPointError) as solo:
+        where = "round 1, client 0, local step 0: gpcl loss is nan"
+        with pytest.raises(FloatingPointError, match=f"^{where}$"):
             run_experiment(cfgs[1])
-        assert str(solo.value) == "round 1, client 0, local step 0: gpcl loss is nan"
-        together = run_experiments(cfgs)
-        assert isinstance(together[1], FloatingPointError)
-        assert str(together[1]) == str(solo.value)
+        with pytest.raises(FloatingPointError, match=f"^{where}$"):
+            run_experiments(cfgs)
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        dirs = [tmp_path / f"run{i}" for i in range(len(cfgs))]
+        rows = cli._train([(cfg, [d]) for cfg, d in zip(cfgs, dirs)])
+        assert rows[1] == where
+        bundled = [tree(d) for d in dirs]
+        for i, (cfg, d) in enumerate(zip(cfgs, dirs)):
+            shutil.rmtree(d)
+            assert cli._train([(cfg, [d])]) == [rows[i]]
+            assert tree(d) == bundled[i]
         for i in (0, 2):
-            _assert_same_result(together[i], run_experiment(cfgs[i]))
+            assert rows[i] == run_experiment(cfgs[i]).summary
 
     def test_runs_outside_one_bundle_rejected(self):
         with pytest.raises(ValueError, match="may differ only in seed, gpcl_enabled"):

@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import protofed
+from protofed import cli, federation
 
 SRC = Path(protofed.__file__).resolve().parent
 
@@ -44,3 +46,18 @@ def test_only_cli_imports_json():
             if any(name.split(".")[0] == "json" for name in names):
                 importers.add(path.name)
     assert importers == {"cli.py"}
+
+
+def test_every_benchmark_target_resolves():
+    """protobench wraps each TARGETS entry by name on its module; a name the
+    program no longer defines would silently read as an absent span. Only
+    the two already absent are allowed."""
+    path = SRC.parents[1] / "protobench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("protobench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    modules = {"federation": federation, "cli": cli}
+    missing = {f"{namespace}.{attr}" for namespace, attr, *_ in layers.TARGETS
+               if not hasattr(modules[namespace], attr)}
+    unexpected = missing - {"federation.initial_mean", "federation.local_update"}
+    assert not unexpected, f"benchmark targets the program lacks: {', '.join(sorted(unexpected))}"
